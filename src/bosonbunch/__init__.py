@@ -25,7 +25,6 @@ from .permanent import (
     CostEstimate,
     GrayStep,
     cost_estimate,
-    cost_estimate_fock,
     mixed_radix_gray,
     output_probability,
     permanent_glynn,

@@ -1,10 +1,10 @@
 """Instrumented runs reconciling measured operation counts with the model.
 
-An operation unit is one Gray state's worth of row work (one addition and
-one multiplication per row); wall time is recorded for orientation but never
-asserted. Envelope comparisons happen at exponent level (log2 counts) with
-the asymptotic constants taken as one, which leaves a documented slack of
-two bits on the lower side: the weight-evaluation work is M*K summed over
+An operation unit is one enumerated state's worth of row work (one addition
+and one multiplication per row); wall time is recorded for orientation but
+never asserted. Envelope comparisons happen at exponent level (log2 counts)
+with the asymptotic constants taken as one, which leaves a documented slack
+of two bits on the lower side: the weight-evaluation work is M*K summed over
 steps (about half of M*N^2) and a realized prefix can shave one doubling off
 the final enumeration.
 """

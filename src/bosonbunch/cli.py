@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -28,7 +27,6 @@ from .permanent import (
 )
 from .portstats import occupied_ports_pmf, sampling_cost_bounds, solve_tail_crossings
 from .sampler import (
-    BRUTE_FORCE_LIMIT,
     brute_force_distribution,
     chi_square_fit,
     empirical_counts,
@@ -144,11 +142,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     u = load_unitary(args.unitary)
-    n_configs = math.comb(u.dim + args.bosons - 1, args.bosons)
-    if n_configs > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{n_configs} configurations exceed the enumeration limit {BRUTE_FORCE_LIMIT}"
-        )
     exact = brute_force_distribution(u, args.bosons)
     batch = sample_batch(u, args.bosons, args.samples, args.seed)
     counts = empirical_counts(batch)

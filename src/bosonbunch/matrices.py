@@ -36,6 +36,8 @@ def _as_complex_matrix(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -63,7 +65,7 @@ class UnitaryMatrix:
     def __post_init__(self):
         a = _as_complex_matrix(self.matrix).copy()
         defect = unitarity_defect(a)
-        if defect > UNITARITY_TOLERANCE:
+        if not defect <= UNITARITY_TOLERANCE:
             raise ValueError(
                 f"matrix is not unitary: defect {defect:.3e} exceeds {UNITARITY_TOLERANCE:.0e}"
             )
@@ -181,6 +183,8 @@ def _parse_matrix_doc(doc) -> tuple[np.ndarray, int | None]:
         raise ValueError(
             f"entry grids {re.shape}/{im.shape} disagree with declared shape ({rows}, {cols})"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
     return re + 1j * im, doc.get("seed")
 
 

@@ -1,12 +1,14 @@
-"""Matrix permanents and the cost model of their Gray-code evaluation.
+"""Matrix permanents and the cost model of their evaluation.
 
 Four routes are provided: the literal permutation sum (cross-check oracle),
-Ryser's inclusion-exclusion, Glynn's signed row-sum average, and a
-roots-of-unity expansion for matrices built from repeated columns. The last
-one enumerates auxiliary variables in mixed-radix Gray order, so advancing
-from one term to the next costs a single column update of the running row
-sums; pinning the variable of a least-repeated column shrinks the
-enumeration by that column's factor.
+Ryser's inclusion-exclusion in Gray order, Glynn's signed row-sum average,
+and a roots-of-unity expansion for matrices built from repeated columns.
+Glynn is the expansion with every multiplicity one. The expansion gives each
+summed column a variable over the roots of unity of its radix
+(multiplicity + 1) and builds the row sums of every variable assignment in
+tables of at most ``INNER_STATES`` states, so a state costs one vectorised
+row product rather than a Python step; pinning the variable of a
+least-repeated column shrinks the enumeration by that column's factor.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .matrices import UnitaryMatrix
 
 NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
+# cap on the states of one expansion table: 4096 states of 30 rows is 2 MB
+INNER_STATES = 4096
 
 __all__ = [
     "GrayStep",
@@ -34,7 +38,6 @@ __all__ = [
     "repeated_column_expansion",
     "permanent_repeated",
     "cost_estimate",
-    "cost_estimate_fock",
     "output_probability",
 ]
 
@@ -128,27 +131,69 @@ def permanent_ryser(matrix) -> complex:
 def permanent_glynn(matrix) -> complex:
     """Signed average of row-sum products over +-1 auxiliary variables.
 
-    The first variable is pinned to +1; the remaining n-1 are walked in Gray
-    order, so each term costs one row update and one row product.
+    The first variable is pinned to +1 and the other n-1 are summed: this is
+    ``repeated_column_expansion`` with every multiplicity one.
     """
     a = _as_square(matrix, GRAY_LIMIT, "permanent_glynn")
-    n = a.shape[0]
-    row_sums = a.sum(axis=1)
-    sign = 1
-    total = row_sums.prod()
-    for step in mixed_radix_gray([2] * (n - 1)):
-        col = step.position + 1
-        row_sums += (-2.0 if step.new_value else 2.0) * a[:, col]
-        sign = -sign
-        total += sign * row_sums.prod()
-    return complex(total / 2 ** (n - 1))
+    value, _ = repeated_column_expansion(a, [1] * a.shape[0])
+    return value
 
 
 @lru_cache(maxsize=None)
 def _unit_roots(order: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    k = np.arange(order)
+    roots = np.exp(2j * np.pi * k / order)
+    # exact quarter turns, so that +-1 variables keep real matrices real
+    quarter = 4 * k % order == 0
+    roots[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // order]
     roots.flags.writeable = False
     return roots
+
+
+def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool, term):
+    """Sum of ``term(p, t)`` over the states of the roots-of-unity expansion,
+    returned with the number of states.
+
+    Column j of the K-row ``block`` carries a variable over the
+    ``radices[j]``-th roots of unity. With ``fix_minimal`` the variable of
+    the first least-radix column is pinned to 1; the others are summed, so
+    there are prod(summed radices) states. ``term`` receives chunks of them:
+    ``p[s]`` is the product of state s's variables and ``t[:, s]`` its K row
+    sums. The summed columns, sorted by radix, fill an inner table of at most
+    ``INNER_STATES`` states, built column by column as a broadcast sum; each
+    tuple of the remaining (outer) variables shifts that table once.
+    """
+    n_rows = block.shape[0]
+    fixed = radices.index(min(radices)) if fix_minimal else None
+    summed = sorted((j for j in range(len(radices)) if j != fixed), key=radices.__getitem__)
+    n_inner, size = 0, 1
+    while n_inner < len(summed) and size * radices[summed[n_inner]] <= INNER_STATES:
+        size *= radices[summed[n_inner]]
+        n_inner += 1
+
+    p = np.ones(1, dtype=np.complex128)
+    t = np.zeros((n_rows, 1), dtype=np.complex128)
+    if fixed is not None:
+        t[:, 0] = block[:, fixed]
+    for j in summed[:n_inner]:
+        roots = _unit_roots(radices[j])
+        t = (t[:, None, :] + np.multiply.outer(block[:, j], roots)[:, :, None]).reshape(n_rows, -1)
+        p = np.multiply.outer(roots, p).ravel()
+
+    outer = summed[n_inner:]
+    states = math.prod(radices[j] for j in summed)
+    if not outer:
+        return term(p, t), states
+    cols = block[:, outer]
+    total = sum(
+        term(p * math.prod(xs), t + (cols @ np.array(xs))[:, None])
+        for xs in itertools.product(*(_unit_roots(radices[j]) for j in outer))
+    )
+    return total, states
+
+
+def _row_products(p: np.ndarray, t: np.ndarray) -> complex:
+    return p @ t.prod(axis=0)
 
 
 def _validated_multiplicities(multiplicities) -> list[int]:
@@ -174,8 +219,11 @@ def repeated_column_expansion(
 
     With ``fix_minimal`` the variable of the first least-repeated column is
     pinned to 1 and dropped from the enumeration, which is valid precisely
-    because that column's multiplicity is minimal; the walk then makes
-    prod(m_j + 1) / min(m_j + 1) - 1 steps instead of prod(m_j + 1) - 1.
+    because that column's multiplicity is minimal. Every state's row sums are
+    built afresh from table entries, not updated step by step, so there is no
+    drift along the walk. The returned count is the number of states less
+    one, the steps a Gray walk over them would take:
+    prod(m_j + 1) / min(m_j + 1) - 1 with the pin, prod(m_j + 1) - 1 without.
     """
     a = np.asarray(column_block, dtype=np.complex128)
     mult = _validated_multiplicities(multiplicities)
@@ -186,29 +234,9 @@ def repeated_column_expansion(
             f"column block must have shape ({n_rows}, {n_cols}) for multiplicities"
             f" {mult}, got {a.shape}"
         )
-
-    radices = [m + 1 for m in mult]
-    roots = [_unit_roots(r) for r in radices]
-    fixed = min(range(n_cols), key=lambda j: mult[j]) if fix_minimal else None
-    summed = [j for j in range(n_cols) if j != fixed]
-
-    digits = [0] * n_cols
-    row_sums = a.sum(axis=1)
-    prefactor = 1 + 0j
-    total = row_sums.prod()
-    steps = 0
-    for step in mixed_radix_gray([radices[j] for j in summed]):
-        j = summed[step.position]
-        old = roots[j][digits[j]]
-        new = roots[j][step.new_value]
-        digits[j] = step.new_value
-        row_sums += (new - old) * a[:, j]
-        prefactor *= new * old.conjugate()
-        total += prefactor * row_sums.prod()
-        steps += 1
-
-    scale = math.prod(map(math.factorial, mult)) / math.prod(radices[j] for j in summed)
-    return complex(total * scale), steps
+    total, states = _expansion_sum(a, [m + 1 for m in mult], fix_minimal, _row_products)
+    scale = math.prod(map(math.factorial, mult)) / states
+    return complex(total * scale), states - 1
 
 
 def permanent_repeated(column_block, multiplicities: Sequence[int]) -> complex:
@@ -231,46 +259,21 @@ class CostEstimate:
     min_factor: int
 
 
-def _occupied_factors(occupations) -> tuple[list[int], int]:
+def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
+    """Evaluation cost of one output probability for the given configuration."""
     occ = [int(m) for m in occupations]
     if any(m < 0 for m in occ):
         raise ValueError(f"occupations must be non-negative, got {occ}")
-    return [m + 1 for m in occ if m > 0], sum(occ)
-
-
-def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
-    """Evaluation cost of one output probability for the given configuration."""
-    factors, n_bosons = _occupied_factors(occupations)
+    factors = [m + 1 for m in occ if m > 0]
     if not factors:
         raise ValueError("configuration holds no bosons")
     product = math.prod(factors)
     low = min(factors)
     return CostEstimate(
-        op_units=n_bosons * (product // low),
+        op_units=sum(occ) * (product // low),
         bunching_product=product,
         min_factor=low,
     )
-
-
-def cost_estimate_fock(input_occupations, output_occupations) -> CostEstimate:
-    """Cheaper of the row-based and column-based evaluations when the input
-    is a general Fock state: repeated input ports can replace repeated output
-    ports in the expansion, whichever side bunches more."""
-    in_factors, n_in = _occupied_factors(input_occupations)
-    out_factors, n_out = _occupied_factors(output_occupations)
-    if n_in != n_out:
-        raise ValueError(
-            f"input and output boson totals differ: {n_in} != {n_out}"
-        )
-    if not in_factors or not out_factors:
-        raise ValueError("configurations hold no bosons")
-    sides = []
-    for factors in (in_factors, out_factors):
-        product = math.prod(factors)
-        low = min(factors)
-        sides.append((product // low, product, low))
-    ratio, product, low = min(sides)
-    return CostEstimate(op_units=n_in * ratio, bunching_product=product, min_factor=low)
 
 
 def output_probability(u, configuration, input_ports: Sequence[int] | None = None) -> float:

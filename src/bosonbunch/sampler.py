@@ -4,10 +4,9 @@ A uniformly random ordering of the input rows makes the distribution of each
 next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
-ports, and all K of them come out of a single Gray enumeration over the
-distinct prefix ports: per Gray state the running row sums are updated in
-one column, and exclusive prefix/suffix products over the rows deliver every
-leave-one-out value at once.
+ports, and all K of them come out of one roots-of-unity expansion over the
+distinct prefix ports: for each table of states, exclusive prefix and suffix
+products over the rows deliver every leave-one-out value at once.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import UnsupportedRegimeError
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import _unit_roots, mixed_radix_gray
+from .permanent import _expansion_sum
 
 BRUTE_FORCE_LIMIT = 100_000
 
@@ -87,15 +85,24 @@ def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(int(p) + 1 for p in rng.permutation(n))
 
 
-def _exclusive_products(values: np.ndarray) -> np.ndarray:
-    """out[i] = product of all entries except values[i] (division-free)."""
-    k = values.shape[0]
-    prefix = np.ones(k, dtype=np.complex128)
-    suffix = np.ones(k, dtype=np.complex128)
-    if k > 1:
-        np.cumprod(values[:-1], out=prefix[1:])
-        suffix[:-1] = np.cumprod(values[:0:-1])[::-1]
-    return prefix * suffix
+def _leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[i] = sum over states s of p[s] times the product of the row sums
+    t[:, s] other than row i (division-free).
+
+    The loop runs over rows so that every multiply spans all states;
+    ``np.cumprod`` along the row axis is an order of magnitude slower.
+    """
+    k = t.shape[0]
+    prefix = np.empty_like(t)
+    prefix[0] = p
+    for i in range(1, k):
+        np.multiply(prefix[i - 1], t[i - 1], out=prefix[i])
+    out = np.empty(k, dtype=np.complex128)
+    suffix = np.ones(t.shape[1], dtype=np.complex128)
+    for i in range(k - 1, -1, -1):
+        out[i] = prefix[i] @ suffix
+        suffix *= t[i]
+    return out
 
 
 def _subpermanent_accumulators(
@@ -106,31 +113,12 @@ def _subpermanent_accumulators(
 
     ``block`` is K x s (candidate rows by distinct prefix ports) and
     ``counts`` the port multiplicities summing to K - 1. Returns the K
-    accumulators and the number of Gray steps walked. The shared constant
-    (multiplicity factorials over the enumeration size) is dropped because
-    callers only need ratios.
+    accumulators and the Gray-step count prod(c + 1) / min(c + 1) - 1 of
+    the expansion. The shared constant (multiplicity factorials over the
+    number of states) is dropped because callers only need ratios.
     """
-    radices = [int(c) + 1 for c in counts]
-    n_cols = len(radices)
-    fixed = min(range(n_cols), key=lambda j: radices[j])
-    summed = [j for j in range(n_cols) if j != fixed]
-    roots = [_unit_roots(r) for r in radices]
-
-    digits = [0] * n_cols
-    row_sums = block.sum(axis=1)
-    prefactor = 1 + 0j
-    acc = _exclusive_products(row_sums)
-    steps = 0
-    for step in mixed_radix_gray([radices[j] for j in summed]):
-        j = summed[step.position]
-        old = roots[j][digits[j]]
-        new = roots[j][step.new_value]
-        digits[j] = step.new_value
-        row_sums += (new - old) * block[:, j]
-        prefactor *= new * old.conjugate()
-        acc += prefactor * _exclusive_products(row_sums)
-        steps += 1
-    return acc, steps
+    acc, states = _expansion_sum(block, [int(c) + 1 for c in counts], True, _leave_one_out)
+    return acc, states - 1
 
 
 def _weights_counted(
@@ -401,6 +389,8 @@ def chi_square_fit(
         f_exp.append(pooled_exp)
     if len(f_obs) < 2:
         return 0.0, 1.0
+    from scipy import stats  # over a second to import, and only needed here
+
     exp = np.asarray(f_exp)
     exp *= total / exp.sum()
     statistic, pvalue = stats.chisquare(np.asarray(f_obs), exp)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bosonbunch
 from bosonbunch import UnitaryMatrix, save_matrix
 from bosonbunch.cli import main
 
@@ -69,6 +73,33 @@ def test_permanent_naive_guard_is_usage_error(tmp_path):
     path = tmp_path / "big.json"
     save_matrix(path, np.eye(11, dtype=complex))
     assert main(["permanent", "--matrix", str(path), "--method", "naive"]) == 2
+
+
+@pytest.fixture()
+def nan_matrix_path(tmp_path):
+    path = tmp_path / "nan.json"
+    re = [[float("nan"), 0.0], [0.0, 1.0]]
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "re": re, "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    return str(path)
+
+
+def test_permanent_rejects_non_finite_matrix(nan_matrix_path, capsys):
+    assert main(["permanent", "--matrix", nan_matrix_path]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sample_rejects_non_finite_unitary(nan_matrix_path, capsys):
+    assert main(["sample", "--unitary", nan_matrix_path, "-n", "1", "--count", "1", "--seed", "0"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats costs over a second at import; only chi_square_fit needs it
+    src = os.path.dirname(os.path.dirname(bosonbunch.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, bosonbunch; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_permanent_missing_file_is_usage_error(tmp_path):

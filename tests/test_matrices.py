@@ -133,6 +133,8 @@ def test_unitarity_defect_rejects_non_square():
 def test_unitary_constructor_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryMatrix(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        UnitaryMatrix(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_unitary_matrix_is_read_only():
@@ -173,5 +175,8 @@ def test_json_plain_matrix_round_trip(tmp_path):
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 2, "cols": 2, "re": [[1, 0]], "im": [[0, 0]]}')
+    with pytest.raises(ValueError):
+        load_matrix(path)
+    path.write_text('{"rows": 1, "cols": 2, "re": [[1, NaN]], "im": [[0, 0]]}')
     with pytest.raises(ValueError):
         load_matrix(path)

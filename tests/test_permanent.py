@@ -6,7 +6,6 @@ import pytest
 from bosonbunch import (
     UnitaryMatrix,
     cost_estimate,
-    cost_estimate_fock,
     haar_unitary,
     mixed_radix_gray,
     output_probability,
@@ -47,6 +46,16 @@ def test_glynn_examples():
 def test_ryser_examples():
     assert permanent_ryser([[1, 1], [1, 1]]) == pytest.approx(2.0)
     assert permanent_ryser([[3.5 - 2j]]) == pytest.approx(3.5 - 2j)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_glynn_rank_one_closed_form(n):
+    # perm(u v^T) = n! prod(u) prod(v), far beyond the factorial oracle
+    rng = np.random.default_rng(100 + n)
+    u = random_complex(rng, n)
+    v = random_complex(rng, n)
+    reference = math.factorial(n) * u.prod() * v.prod()
+    assert rel_err(permanent_glynn(np.outer(u, v)), reference) < 1e-12
 
 
 def test_fast_permanents_match_oracle():
@@ -157,6 +166,22 @@ def test_full_and_reduced_expansions_agree():
             assert red_steps == prod // min(m + 1 for m in pattern) - 1
 
 
+@pytest.mark.parametrize("fix_minimal", [True, False])
+def test_repeated_rank_one_closed_form(fix_minimal):
+    # columns v_j u repeated m_j times: perm = N! prod(u) prod_j v_j^m_j;
+    # unpinned, the 6,912 states exceed one inner table
+    pattern = [3, 3, 2, 2, 2, 1, 1, 1, 1]
+    n = sum(pattern)
+    rng = np.random.default_rng(12)
+    u = random_complex(rng, n)
+    v = random_complex(rng, len(pattern))
+    reference = math.factorial(n) * u.prod() * np.prod(v ** np.array(pattern))
+    value, steps = repeated_column_expansion(np.outer(u, v), pattern, fix_minimal=fix_minimal)
+    assert rel_err(value, reference) < 1e-12
+    factors = [m + 1 for m in pattern]
+    assert steps == math.prod(factors) // (min(factors) if fix_minimal else 1) - 1
+
+
 def test_repeated_is_column_permutation_invariant():
     rng = np.random.default_rng(9)
     block = random_complex(rng, (6, 3))
@@ -216,16 +241,6 @@ def test_cost_estimate_rejects_empty():
         cost_estimate([0, 0, 0])
     with pytest.raises(ValueError):
         cost_estimate([2, -1])
-
-
-def test_cost_estimate_fock():
-    n = 9
-    assert cost_estimate_fock([n], [1] * n).op_units == n  # bunched input wins
-    assert cost_estimate_fock([1] * n, [1] * n).op_units == n * 2 ** (n - 1)
-    swap = cost_estimate_fock([2, 1], [1, 1, 1])
-    assert swap.op_units == cost_estimate_fock([1, 1, 1], [2, 1]).op_units
-    with pytest.raises(ValueError):
-        cost_estimate_fock([2], [1, 1, 1])
 
 
 # --------------------------------------------------------- output probability

@@ -16,11 +16,13 @@ from bosonbunch import (
     haar_unitary,
     identity_unitary,
     permanent_naive,
+    repeated_column_expansion,
     sample_batch,
     sample_permutation,
     submatrix,
     total_variation_distance,
 )
+from bosonbunch.sampler import _subpermanent_accumulators
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -90,6 +92,20 @@ def test_weights_match_naive_permanent_oracle():
         )
         oracle /= oracle.sum()
         assert np.allclose(w, oracle, atol=1e-12)
+
+
+def test_leave_one_out_matches_per_row_expansion():
+    # 6,561 summed states: more than one inner table, so outer shifts run
+    counts = [2] * 8 + [1]
+    k = sum(counts) + 1
+    rng = np.random.default_rng(14)
+    block = rng.standard_normal((k, len(counts))) + 1j * rng.standard_normal((k, len(counts)))
+    acc, steps = _subpermanent_accumulators(block, counts)
+    assert steps == 3**8 - 1
+    per_row = np.array(
+        [repeated_column_expansion(np.delete(block, i, axis=0), counts)[0] for i in range(k)]
+    )
+    assert np.allclose(acc / acc[0], per_row / per_row[0], rtol=1e-10, atol=0)
 
 
 def test_weights_reject_overlong_prefix():
