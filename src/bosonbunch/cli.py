@@ -43,6 +43,10 @@ def _complex_str(value: complex) -> str:
     return f"{value.real + 0.0:.12g}{value.imag + 0.0:+.12g}j"
 
 
+def _csv_field(value) -> str:
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 def _open_out(args):
     if getattr(args, "out", None):
         return open(args.out, "w", encoding="utf-8")
@@ -90,23 +94,14 @@ def cmd_sample(args) -> int:
             batch.write_jsonl(out)
         elif args.format == "json":
             doc = batch.header()
-            doc["samples"] = [
-                {
-                    "idx": i,
-                    "ports": list(seq.ports),
-                    "config": seq.configuration(batch.n_ports).tolist(),
-                    "ops": batch.gray_steps[i],
-                }
-                for i, seq in enumerate(batch.samples)
-            ]
+            doc["samples"] = [batch.record(i) for i in range(len(batch.samples))]
             json.dump(doc, out)
             out.write("\n")
         else:  # csv
             out.write("idx,ports,config,ops\n")
-            for i, seq in enumerate(batch.samples):
-                ports = " ".join(map(str, seq.ports))
-                config = " ".join(map(str, seq.configuration(batch.n_ports)))
-                out.write(f"{i},{ports},{config},{batch.gray_steps[i]}\n")
+            for i in range(len(batch.samples)):
+                fields = batch.record(i).values()
+                out.write(",".join(_csv_field(v) for v in fields) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

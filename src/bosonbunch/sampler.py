@@ -5,8 +5,14 @@ next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
 ports, and all K of them come out of one roots-of-unity expansion over the
-distinct prefix ports: for each table of states, exclusive prefix and suffix
-products over the rows deliver every leave-one-out value at once.
+distinct prefix ports: exclusive prefix and suffix products over the rows of
+its state table deliver every leave-one-out value at once.
+
+Consecutive steps differ by one row and one port, so a chain keeps one state
+table for all N rows and changes it by a single broadcast after each pick
+instead of expanding the prefix afresh. Once the table would pass
+``INNER_STATES`` states, the chain finishes on the from-scratch expansion,
+which works in chunks of that size; ``conditional_weights`` always uses it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 
 from .errors import UnsupportedRegimeError
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import _expansion_sum
+from .permanent import INNER_STATES, _expansion_sum, _unit_roots
 
 BRUTE_FORCE_LIMIT = 100_000
 
@@ -131,11 +137,107 @@ def _weights_counted(
         return w, 0
     block = mat[np.ix_(rows, occupied)]
     acc, steps = _subpermanent_accumulators(block, counts)
+    return _rescaled_weights(acc, mat[rows]), steps
+
+
+def _rescaled_weights(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared amplitudes of the candidate ports from the leave-one-out
+    accumulators of ``rows``, rescaled first so that large prefixes cannot
+    overflow."""
     scale = float(np.max(np.abs(acc)))
     if scale > 0.0:
         acc = acc / scale
-    amplitudes = acc @ mat[rows]
-    return np.abs(amplitudes) ** 2, steps
+    return np.abs(acc @ rows) ** 2
+
+
+class _PrefixTable:
+    """The roots-of-unity expansion of a chain's prefix ports, carried from
+    step to step.
+
+    ``mp`` holds the unitary's rows in chain order, so step k uses
+    ``mp[:k]``. ``t`` has shape (N, r_1, ..., r_d): the row sums of every
+    state for all N rows, one axis per summed port (listed in ``axes``)
+    whose variable runs over the r-th roots of unity, r = count + 1. ``p``
+    has shape (r_1, ..., r_d) and holds each state's variable product. The
+    pinned port, a least-count one, sits in ``t`` with its variable fixed at
+    1, so there are prod(c + 1) / min(c + 1) states. Once that number would
+    pass ``INNER_STATES`` the table is dropped (memory stays at most
+    N x INNER_STATES entries) and ``weights`` expands the prefix afresh.
+    """
+
+    def __init__(self, mp: np.ndarray):
+        self.mp = mp
+        self.counts: dict[int, int] = {}
+        self.pin: int | None = None
+        self.axes: list[int] = []
+        self.t = np.zeros(mp.shape[0], dtype=np.complex128)
+        self.p = np.ones((), dtype=np.complex128)
+
+    def accumulators(self, k: int) -> tuple[np.ndarray, int]:
+        """Leave-one-out accumulators of rows ``mp[:k]`` and the step count,
+        as ``_subpermanent_accumulators`` gives them up to a shared factor."""
+        return _leave_one_out(self.p.ravel(), self.t[:k].reshape(k, -1)), self.p.size - 1
+
+    def weights(self, k: int) -> tuple[np.ndarray, int]:
+        """Unnormalized weights of the k-th port and the step count."""
+        if self.t is None:
+            occupied = np.array(sorted(self.counts))
+            counts = [self.counts[j] for j in occupied]
+            return _weights_counted(self.mp, np.arange(k), occupied, counts)
+        acc, steps = self.accumulators(k)
+        return _rescaled_weights(acc, self.mp[:k]), steps
+
+    def add(self, q: int) -> None:
+        """Record one more boson at port ``q`` (0-based)."""
+        c = self.counts.get(q, 0)
+        self.counts[q] = c + 1
+        if self.t is None:
+            return
+        factors = [n + 1 for n in self.counts.values()]
+        if math.prod(factors) // min(factors) > INNER_STATES:
+            self.t = self.p = None
+            return
+        pin = self.pin
+        if pin is None:
+            self._pin(q)
+        elif q == pin:
+            # the pin stays unless another port still has its old count
+            other = next((j for j in self.axes if self.counts[j] == c), None)
+            if other is not None:
+                self._pin(other)
+                self._spread(pin, c + 2, held=True)
+        elif c == 0 and self.counts[pin] > 1:
+            self._pin(q)
+            self._spread(pin, self.counts[pin] + 1, held=True)
+        else:
+            if c:
+                self._fix(q)
+            self._spread(q, c + 2, held=c > 0)
+
+    def _fix(self, port: int) -> None:
+        """Set ``port``'s variable to 1: its digit-0 slice if it is summed,
+        otherwise add its column to every state."""
+        if port in self.axes:
+            i = self.axes.index(port)
+            self.axes.pop(i)
+            self.t = self.t[(slice(None),) * (i + 1) + (0,)]
+            self.p = self.p[(slice(None),) * i + (0,)]
+        else:
+            self.t = self.t + self.mp[:, port].reshape((-1,) + (1,) * (self.t.ndim - 1))
+
+    def _pin(self, port: int) -> None:
+        self._fix(port)
+        self.pin = port
+
+    def _spread(self, port: int, radix: int, held: bool) -> None:
+        """Sum ``port``'s variable over the ``radix``-th roots of unity on a
+        new last axis; ``held`` when ``t`` already holds its column once."""
+        roots = _unit_roots(radix)
+        shifts = roots - 1 if held else roots
+        shape = (-1,) + (1,) * (self.t.ndim - 1) + (radix,)
+        self.t = self.t[..., None] + np.multiply.outer(self.mp[:, port], shifts).reshape(shape)
+        self.p = self.p[..., None] * roots
+        self.axes.append(port)
 
 
 def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
@@ -172,23 +274,19 @@ def _chain_sample(
         raise UnsupportedRegimeError(
             f"{n_bosons} bosons on {m_ports} ports: densities above one are not supported"
         )
-    mat = u.matrix
     pi = sample_permutation(n_bosons, rng)
-    rows_all = np.asarray(pi, dtype=int) - 1
+    table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
 
-    occ = np.zeros(m_ports, dtype=int)
     ports: list[int] = []
     per_step: list[int] = []
     row_ops = 0
     weight_ops = 0
     for k in range(1, n_bosons + 1):
-        occupied = np.flatnonzero(occ)
-        weights, gray = _weights_counted(mat, rows_all[:k], occupied, occ[occupied])
+        weights, gray = table.weights(k)
         per_step.append(gray)
         row_ops += k * (gray + 1)
         weight_ops += m_ports * k
 
-        weights = np.maximum(weights, 0.0)
         cdf = np.cumsum(weights)
         total = cdf[-1]
         if not total > 0.0:
@@ -196,7 +294,8 @@ def _chain_sample(
         pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
         pick = min(pick, m_ports - 1)
         ports.append(pick + 1)
-        occ[pick] += 1
+        if k < n_bosons:
+            table.add(pick)
 
     seq = PortSequence(ports=tuple(ports), row_order=pi, seed=seed_note)
     ops = SampleOps(per_step_gray=tuple(per_step), row_ops=row_ops, weight_ops=weight_ops)
@@ -258,17 +357,20 @@ class SampleBatch:
             "count": len(self.samples),
         }
 
+    def record(self, i: int) -> dict:
+        """The output record of sample ``i``, shared by every output format."""
+        seq = self.samples[i]
+        return {
+            "idx": i,
+            "ports": list(seq.ports),
+            "config": seq.configuration(self.n_ports).tolist(),
+            "ops": self.gray_steps[i],
+        }
+
     def jsonl_lines(self) -> Iterator[str]:
         yield json.dumps(self.header())
-        for i, seq in enumerate(self.samples):
-            yield json.dumps(
-                {
-                    "idx": i,
-                    "ports": list(seq.ports),
-                    "config": seq.configuration(self.n_ports).tolist(),
-                    "ops": self.gray_steps[i],
-                }
-            )
+        for i in range(len(self.samples)):
+            yield json.dumps(self.record(i))
 
     def write_jsonl(self, fp) -> None:
         for line in self.jsonl_lines():

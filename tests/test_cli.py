@@ -149,6 +149,27 @@ def test_sample_json_format(beamsplitter_path, capsys):
     assert len(doc["samples"]) == 3
 
 
+def test_sample_formats_carry_the_same_records(tmp_path, capsys):
+    path = tmp_path / "u4.json"
+    save_matrix(path, bosonbunch.haar_unitary(4, seed=6))
+    outputs = {}
+    for fmt in ("jsonl", "json", "csv"):
+        args = ["sample", "--unitary", str(path), "-n", "3", "--count", "6", "--seed", "12"]
+        assert main(args + ["--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    jsonl = [json.loads(line) for line in outputs["jsonl"].splitlines()]
+    doc = json.loads(outputs["json"])
+    assert doc.pop("samples") == jsonl[1:]
+    assert doc == jsonl[0]
+    rows = outputs["csv"].splitlines()
+    assert rows[0] == ",".join(jsonl[1])
+    for row, rec in zip(rows[1:], jsonl[1:], strict=True):
+        idx, ports, config, ops = row.split(",")
+        assert int(idx) == rec["idx"] and int(ops) == rec["ops"]
+        assert [int(v) for v in ports.split()] == rec["ports"]
+        assert [int(v) for v in config.split()] == rec["config"]
+
+
 def test_sample_rejects_too_many_bosons(beamsplitter_path):
     assert main(["sample", "--unitary", beamsplitter_path, "-n", "3", "--count", "1", "--seed", "1"]) == 2
 

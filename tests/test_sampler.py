@@ -22,7 +22,8 @@ from bosonbunch import (
     submatrix,
     total_variation_distance,
 )
-from bosonbunch.sampler import _subpermanent_accumulators
+from bosonbunch.permanent import INNER_STATES
+from bosonbunch.sampler import _PrefixTable, _subpermanent_accumulators
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -106,6 +107,76 @@ def test_leave_one_out_matches_per_row_expansion():
         [repeated_column_expansion(np.delete(block, i, axis=0), counts)[0] for i in range(k)]
     )
     assert np.allclose(acc / acc[0], per_row / per_row[0], rtol=1e-10, atol=0)
+
+
+def _assert_same_ratios(got, reference, rtol):
+    # proportional vectors: compare after scaling both by the largest reference entry
+    j = int(np.argmax(np.abs(reference)))
+    got, reference = got / got[j], reference / reference[j]
+    assert np.max(np.abs(got - reference)) <= rtol * np.max(np.abs(reference))
+
+
+def _model_steps(counts):
+    factors = [c + 1 for c in counts.values()]
+    return int(np.prod(factors)) // min(factors) - 1 if factors else 0
+
+
+@pytest.mark.parametrize(
+    "script, pins",
+    [
+        # new ports while the pin has count 1, then repeats of summed ports
+        ([0, 1, 2, 1, 2, 2, 1], [0, 0, 0, 0, 0, 0, 0]),
+        # repeats of the pinned port: the pin moves while another port keeps its old count
+        ([0, 1, 0, 1, 1, 0, 0], [0, 0, 1, 1, 0, 0, 1]),
+        # new ports while the pin has count > 1 take the pin
+        ([3, 3, 5, 5, 5, 6, 6, 1], [3, 3, 5, 5, 3, 6, 6, 1]),
+        # a mixture of every kind on nine ports
+        ([4, 4, 2, 7, 2, 4, 8, 8, 0, 0, 4, 7], None),
+    ],
+)
+def test_carried_table_matches_fresh_expansion(script, pins):
+    n = len(script) + 1
+    rng = np.random.default_rng(len(script))
+    mp = rng.standard_normal((n, 9)) + 1j * rng.standard_normal((n, 9))
+    table = _PrefixTable(mp)
+    counts = {}
+    for k in range(1, n + 1):
+        acc, steps = table.accumulators(k)
+        occupied = sorted(counts)
+        if occupied:
+            block = mp[np.ix_(range(k), occupied)]
+            reference, ref_steps = _subpermanent_accumulators(block, [counts[j] for j in occupied])
+            _assert_same_ratios(acc, reference, 1e-12)
+            assert steps == ref_steps == _model_steps(counts)
+        else:
+            assert steps == 0 and acc.shape == (1,)
+        if k < n:
+            q = script[k - 1]
+            table.add(q)
+            counts[q] = counts.get(q, 0) + 1
+            if pins is not None:
+                assert table.pin == pins[k - 1]
+            assert counts[table.pin] == min(counts.values())
+
+
+@pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3)])
+def test_chain_weights_match_conditional_weights(n, m, seed):
+    u = haar_unitary(m, seed=seed)
+    seq, ops = draw_sample_counted(u, n, seed=seed)
+    table = _PrefixTable(u.matrix[np.asarray(seq.row_order) - 1])
+    counts = {}
+    for k in range(1, n + 1):
+        prefix = seq.ports[: k - 1]
+        weights, steps = table.weights(k)
+        reference = conditional_weights(u, seq.row_order, prefix)
+        _assert_same_ratios(weights, reference, 1e-12)
+        assert steps == ops.per_step_gray[k - 1] == _model_steps(counts)
+        if k < n:
+            table.add(seq.ports[k - 1] - 1)
+            counts[seq.ports[k - 1]] = counts.get(seq.ports[k - 1], 0) + 1
+    # the widest chain outgrows one table and finishes on the chunked expansion
+    assert (table.t is None) == (_model_steps(counts) + 1 > INNER_STATES)
+    assert (table.t is None) == (m == 60)
 
 
 def test_weights_reject_overlong_prefix():
