@@ -5,8 +5,9 @@ next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
 ports, and all K of them come out of one roots-of-unity expansion over the
-distinct prefix ports: exclusive prefix and suffix products over the rows of
-its state table deliver every leave-one-out value at once.
+distinct prefix ports. A small state table takes every leave-one-out product
+in one masked reduction over K copies of the table; a large one takes
+exclusive prefix and suffix products over its rows.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows and changes it by a single broadcast after each pick
@@ -91,13 +92,44 @@ def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(int(p) + 1 for p in rng.permutation(n))
 
 
+# Largest k * k * S (rows squared times states) that _leave_one_out reduces in
+# one masked product. A (k, S) sweep on a 2-core x86 host, masked over loop
+# time: 0.37-0.85 at k * k * S = 6,912-9,600 for k = 2..16; the loop wins
+# first at small k, from 16,384 at k = 4 (1.19) and from about 25,000 at
+# k = 8..12 (1.02-1.18). At 8,192 the masked temporary is 128 KiB.
+MASKED_LIMIT = 8192
+
+
 def _leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """out[i] = sum over states s of p[s] times the product of the row sums
-    t[:, s] other than row i (division-free).
+    t[:, s] other than row i (division-free: row sums are exactly 0 for
+    identity and beamsplitter rows).
 
-    The loop runs over rows so that every multiply spans all states;
-    ``np.cumprod`` along the row axis is an order of magnitude slower.
+    A chain step's table is small, so the fixed cost of each numpy call, not
+    the k * S products, sets its price. While k copies of ``t`` hold at most
+    ``MASKED_LIMIT`` entries, one masked product does k * k * S multiplies
+    in a handful of calls; a larger table takes the row loop, about
+    2 * k * S multiplies in 3 * k calls.
     """
+    k = t.shape[0]
+    if k * t.size <= MASKED_LIMIT:
+        return _masked_leave_one_out(p, t)
+    return _row_leave_one_out(p, t)
+
+
+def _masked_leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Copy i of ``t`` has its own row i set to 1, then every copy is
+    multiplied down its rows."""
+    k = t.shape[0]
+    e = t[None].repeat(k, axis=0)
+    e.reshape(k * k, -1)[:: k + 1] = 1
+    return e.prod(axis=1) @ p
+
+
+def _row_leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exclusive prefix and suffix products, one row at a time, so that
+    every multiply spans all states; ``np.cumprod`` along the row axis is an
+    order of magnitude slower on complex tables."""
     k = t.shape[0]
     prefix = np.empty_like(t)
     prefix[0] = p
@@ -144,7 +176,7 @@ def _rescaled_weights(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Squared amplitudes of the candidate ports from the leave-one-out
     accumulators of ``rows``, rescaled first so that large prefixes cannot
     overflow."""
-    scale = float(np.max(np.abs(acc)))
+    scale = float(np.abs(acc).max())
     if scale > 0.0:
         acc = acc / scale
     return np.abs(acc @ rows) ** 2
@@ -264,16 +296,21 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     return weights
 
 
-def _chain_sample(
-    u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
-) -> tuple[PortSequence, SampleOps]:
-    m_ports = u.dim
+def _check_boson_count(n_bosons: int, m_ports: int) -> None:
+    """Reject boson counts outside 1..M before any work starts."""
     if n_bosons < 1:
         raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
     if n_bosons > m_ports:
         raise UnsupportedRegimeError(
             f"{n_bosons} bosons on {m_ports} ports: densities above one are not supported"
         )
+
+
+def _chain_sample(
+    u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
+) -> tuple[PortSequence, SampleOps]:
+    m_ports = u.dim
+    _check_boson_count(n_bosons, m_ports)
     pi = sample_permutation(n_bosons, rng)
     table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
 
@@ -287,11 +324,11 @@ def _chain_sample(
         row_ops += k * (gray + 1)
         weight_ops += m_ports * k
 
-        cdf = np.cumsum(weights)
+        cdf = weights.cumsum()
         total = cdf[-1]
         if not total > 0.0:
             raise RuntimeError("conditional weights vanished; cannot continue the chain")
-        pick = int(np.searchsorted(cdf, rng.random() * total, side="right"))
+        pick = int(cdf.searchsorted(rng.random() * total, side="right"))
         pick = min(pick, m_ports - 1)
         ports.append(pick + 1)
         if k < n_bosons:
@@ -383,6 +420,7 @@ def sample_batch(
 ) -> SampleBatch:
     """``count`` independent samples with per-sample seeds derived from
     (master_seed, index); the result is identical however it is scheduled."""
+    _check_boson_count(n_bosons, u.dim)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     children = np.random.SeedSequence(master_seed).spawn(count)
@@ -416,8 +454,7 @@ def brute_force_distribution(
     from .permanent import output_probability
 
     m_ports = u.dim
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
+    _check_boson_count(n_bosons, m_ports)
     n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)
     if n_configs > BRUTE_FORCE_LIMIT:
         raise ValueError(

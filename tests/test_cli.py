@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -172,6 +173,36 @@ def test_sample_formats_carry_the_same_records(tmp_path, capsys):
 
 def test_sample_rejects_too_many_bosons(beamsplitter_path):
     assert main(["sample", "--unitary", beamsplitter_path, "-n", "3", "--count", "1", "--seed", "1"]) == 2
+
+
+@pytest.fixture()
+def four_port_path(tmp_path):
+    path = tmp_path / "u4.json"
+    save_matrix(path, bosonbunch.haar_unitary(4, seed=6))
+    return str(path)
+
+
+@pytest.mark.parametrize("bosons", ["5", "0"])
+def test_sample_rejects_impossible_counts_without_samples(four_port_path, bosons, capsys):
+    assert main(["sample", "--unitary", four_port_path, "-n", bosons, "--count", "0", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bosons" in captured.err
+
+
+def test_verify_rejects_more_bosons_than_ports(four_port_path, capsys):
+    assert main(["verify", "--unitary", four_port_path, "-n", "5", "--samples", "10", "--seed", "1"]) == 2
+    assert "5 bosons on 4 ports" in capsys.readouterr().err
+
+
+def test_sample_output_digest_is_pinned(tmp_path):
+    # any reordering of the floating-point work that flips a single pick changes these bytes
+    path, out = tmp_path / "u12.json", tmp_path / "s.jsonl"
+    save_matrix(path, bosonbunch.haar_unitary(12, seed=2024))
+    args = ["sample", "--unitary", str(path), "-n", "12", "--count", "100", "--seed", "77"]
+    assert main(args + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "f2b6809680bfc392ea0a831d8ea9d979946f3b4fbc83fc1caabe6834493e4715"
 
 
 def test_dist_small_table(capsys):

@@ -22,8 +22,15 @@ from bosonbunch import (
     submatrix,
     total_variation_distance,
 )
-from bosonbunch.permanent import INNER_STATES
-from bosonbunch.sampler import _PrefixTable, _subpermanent_accumulators
+from bosonbunch.permanent import INNER_STATES, _expansion_sum
+from bosonbunch.sampler import (
+    MASKED_LIMIT,
+    _leave_one_out,
+    _masked_leave_one_out,
+    _PrefixTable,
+    _row_leave_one_out,
+    _subpermanent_accumulators,
+)
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -95,6 +102,12 @@ def test_weights_match_naive_permanent_oracle():
         assert np.allclose(w, oracle, atol=1e-12)
 
 
+def _per_row_expansion(block, counts):
+    return np.array(
+        [repeated_column_expansion(np.delete(block, i, axis=0), counts)[0] for i in range(block.shape[0])]
+    )
+
+
 def test_leave_one_out_matches_per_row_expansion():
     # 6,561 summed states: more than one inner table, so outer shifts run
     counts = [2] * 8 + [1]
@@ -103,9 +116,7 @@ def test_leave_one_out_matches_per_row_expansion():
     block = rng.standard_normal((k, len(counts))) + 1j * rng.standard_normal((k, len(counts)))
     acc, steps = _subpermanent_accumulators(block, counts)
     assert steps == 3**8 - 1
-    per_row = np.array(
-        [repeated_column_expansion(np.delete(block, i, axis=0), counts)[0] for i in range(k)]
-    )
+    per_row = _per_row_expansion(block, counts)
     assert np.allclose(acc / acc[0], per_row / per_row[0], rtol=1e-10, atol=0)
 
 
@@ -114,6 +125,70 @@ def _assert_same_ratios(got, reference, rtol):
     j = int(np.argmax(np.abs(reference)))
     got, reference = got / got[j], reference / reference[j]
     assert np.max(np.abs(got - reference)) <= rtol * np.max(np.abs(reference))
+
+
+def _expansion_table(block, counts):
+    # the (p, t) pair that _subpermanent_accumulators hands to _leave_one_out
+    (p, t), _ = _expansion_sum(block, [c + 1 for c in counts], True, lambda p, t: (p, t))
+    return p, t
+
+
+@pytest.mark.parametrize(
+    "counts, masked",
+    [
+        ([2] + [1] * 6, True),  # k = 9, 96 states: 7,776 masked entries
+        ([1] * 8, False),  # k = 9, 128 states: 10,368, past the bound
+    ],
+)
+def test_leave_one_out_forms_agree_at_the_bound(counts, masked):
+    k = sum(counts) + 1
+    rng = np.random.default_rng(k + len(counts))
+    block = rng.standard_normal((k, len(counts))) + 1j * rng.standard_normal((k, len(counts)))
+    p, t = _expansion_table(block, counts)
+    assert (k * t.size <= MASKED_LIMIT) == masked
+    by_mask, by_rows = _masked_leave_one_out(p, t), _row_leave_one_out(p, t)
+    assert np.array_equal(_leave_one_out(p, t), by_mask if masked else by_rows)
+    _assert_same_ratios(by_mask, by_rows, 1e-12)
+    reference = _per_row_expansion(block, counts)
+    _assert_same_ratios(by_mask, reference, 1e-12)
+    _assert_same_ratios(by_rows, reference, 1e-12)
+
+
+@pytest.mark.parametrize("states", [MASKED_LIMIT // 4, MASKED_LIMIT // 4 + 1])
+def test_leave_one_out_two_rows_around_the_bound(states):
+    rng = np.random.default_rng(states)
+    p = rng.standard_normal(states) + 1j * rng.standard_normal(states)
+    t = rng.standard_normal((2, states)) + 1j * rng.standard_normal((2, states))
+    reference = np.array([p @ t[1], p @ t[0]])
+    by_mask, by_rows = _masked_leave_one_out(p, t), _row_leave_one_out(p, t)
+    # 2 * 2 * 2048 is exactly the bound, which still takes the masked form
+    assert np.array_equal(_leave_one_out(p, t), by_mask if 4 * states <= MASKED_LIMIT else by_rows)
+    _assert_same_ratios(by_mask, reference, 1e-12)
+    _assert_same_ratios(by_rows, reference, 1e-12)
+
+
+@pytest.mark.parametrize("states", [1, 5, MASKED_LIMIT + 1])
+def test_leave_one_out_single_row_is_the_prefactor_sum(states):
+    rng = np.random.default_rng(states)
+    p = rng.standard_normal(states) + 1j * rng.standard_normal(states)
+    t = rng.standard_normal((1, states)) + 1j * rng.standard_normal((1, states))
+    for out in (_masked_leave_one_out(p, t), _row_leave_one_out(p, t), _leave_one_out(p, t)):
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(p.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 9])  # 200 masked entries; 10,368 on the row loop
+def test_leave_one_out_keeps_exactly_zero_row_sums(k):
+    # identity rows: the last row meets no prefix port, so its row sum is exactly 0
+    # in every state and only leaving that row out gives a nonzero subpermanent
+    block = identity_unitary(k).matrix[:, : k - 1]
+    counts = [1] * (k - 1)
+    p, t = _expansion_table(block, counts)
+    assert not t[-1].any()
+    reference = _per_row_expansion(block, counts)
+    for out in (_masked_leave_one_out(p, t), _row_leave_one_out(p, t)):
+        assert np.all(out[:-1] == 0) and out[-1] != 0
+        _assert_same_ratios(out, reference, 1e-12)
 
 
 def _model_steps(counts):
@@ -264,6 +339,19 @@ def test_brute_force_normalizes():
     dist = brute_force_distribution(u, 3)
     assert len(dist) == 20
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_impossible_boson_counts_fail_before_any_work():
+    u = haar_unitary(4, seed=1)
+    with pytest.raises(UnsupportedRegimeError):
+        sample_batch(u, 7, 0, 1)
+    with pytest.raises(UnsupportedRegimeError):
+        brute_force_distribution(u, 5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_bosons must be >= 1"):
+            sample_batch(u, n, 0, 1)
+        with pytest.raises(ValueError, match="n_bosons must be >= 1"):
+            brute_force_distribution(u, n)
 
 
 def test_brute_force_refuses_large_enumerations():
