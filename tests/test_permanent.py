@@ -58,6 +58,23 @@ def test_glynn_rank_one_closed_form(n):
     assert rel_err(permanent_glynn(np.outer(u, v)), reference) < 1e-12
 
 
+def test_ryser_rank_one_closed_form():
+    # the matrix of Glynn's n = 20 case; 12 inner and 7 outer columns
+    n = 20
+    rng = np.random.default_rng(100 + n)
+    u = random_complex(rng, n)
+    v = random_complex(rng, n)
+    reference = math.factorial(n) * u.prod() * v.prod()
+    assert rel_err(permanent_ryser(np.outer(u, v)), reference) < 1e-12
+
+
+def test_ryser_matches_glynn_past_one_subset_table():
+    rng = np.random.default_rng(102)
+    for n in (13, 14, 15):  # 0, 1 and 2 columns outside the 4096-subset table
+        a = random_complex(rng, (n, n))
+        assert rel_err(permanent_ryser(a), permanent_glynn(a)) < 1e-12
+
+
 def test_fast_permanents_match_oracle():
     rng = np.random.default_rng(101)
     for dim in range(2, 8):
@@ -273,6 +290,60 @@ def test_output_probability_validates_configuration():
         output_probability(u, [2, 1, 1])  # needs 4 input ports on a 3-port
 
 
+def test_output_probability_names_boson_and_port_counts():
+    with pytest.raises(ValueError, match="4 bosons on 3 ports"):
+        output_probability(haar_unitary(3, seed=2), [2, 1, 1])
+
+
+@pytest.mark.parametrize("config", [[1.5, 0.5, 1.0], ["1", "1", "0"], [1, float("nan"), 0]])
+def test_output_probability_rejects_non_integer_counts(config):
+    with pytest.raises(ValueError, match="integers"):
+        output_probability(haar_unitary(3, seed=2), config)
+
+
+def test_cost_and_expansion_reject_non_integer_counts():
+    with pytest.raises(ValueError, match="integers"):
+        cost_estimate([1.5, 1])
+    with pytest.raises(ValueError, match="integers"):
+        repeated_column_expansion(np.ones((2, 2)), [1.9, 1])
+
+
+def test_integer_valued_float_counts_are_accepted():
+    u = haar_unitary(3, seed=2)
+    assert output_probability(u, [2.0, 0.0, 1.0]) == output_probability(u, [2, 0, 1])
+    assert cost_estimate(np.array([2.0, 1.0])) == cost_estimate([2, 1])
+    block = random_complex(np.random.default_rng(20), (3, 2))
+    assert repeated_column_expansion(block, [2.0, 1.0]) == repeated_column_expansion(block, [2, 1])
+
+
+PORTS_U = haar_unitary(6, seed=21)
+PORTS_CONFIGS = [[1, 0, 2, 0, 1, 0], [0, 0, 0, 3, 0, 1], [1, 1, 1, 0, 0, 1]]
+
+
+def test_explicit_default_ports_equal_the_default():
+    for config in PORTS_CONFIGS:
+        ports = list(range(1, sum(config) + 1))
+        assert output_probability(PORTS_U, config, input_ports=ports) == output_probability(PORTS_U, config)
+
+
+def test_input_ports_select_the_rows_of_the_unitary():
+    ports = [5, 2, 6, 1]
+    order = ports + [r for r in range(1, 7) if r not in ports]
+    permuted = UnitaryMatrix(PORTS_U.matrix[np.array(order) - 1])
+    for config in PORTS_CONFIGS:
+        assert output_probability(PORTS_U, config, input_ports=ports) == output_probability(permuted, config)
+
+
+@pytest.mark.parametrize(
+    "ports",
+    [[1, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 7], [1, 2, 3], [1, 2, 3, 4, 5], [1, 2.5, 3, 4]],
+    ids=["duplicate", "below-range", "above-range", "too-few", "too-many", "non-integer"],
+)
+def test_output_probability_rejects_bad_ports(ports):
+    with pytest.raises(ValueError):
+        output_probability(PORTS_U, PORTS_CONFIGS[0], input_ports=ports)
+
+
 def test_output_probabilities_normalize():
     u = haar_unitary(4, seed=13)
     n = 3
@@ -281,3 +352,61 @@ def test_output_probabilities_normalize():
         for config in compositions(n, 4)
     )
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# Bit patterns of output_probability, pinned so that a change to the code
+# around the kernel (validation, block slicing, the factorial scale) cannot
+# move a single bit unnoticed. Ten of the 16-boson multisets have more than
+# INNER_STATES states, so the outer loop of the expansion runs.
+GOLDEN_16 = [
+    ([0, 1, 0, 0, 12, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0], '0x1.a5e029c4812b5p-29'),  # 78 states
+    ([0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 3, 8, 1, 0, 1], '0x1.67cd645c9346fp-30'),  # 576 states
+    ([0, 1, 1, 0, 0, 3, 0, 5, 0, 0, 0, 0, 4, 0, 0, 2], '0x1.35a9317ec8ae0p-31'),  # 720 states
+    ([1, 0, 0, 2, 0, 0, 0, 0, 0, 1, 8, 1, 1, 1, 1, 0], '0x1.3f91c88113985p-32'),  # 864 states
+    ([0, 6, 3, 2, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 2], '0x1.f81b10580fd8ep-27'),  # 1008 states
+    ([1, 1, 0, 1, 1, 0, 0, 1, 0, 8, 0, 0, 1, 1, 0, 1], '0x1.b67fab637f4dbp-30'),  # 1152 states
+    ([0, 3, 0, 1, 3, 0, 0, 0, 0, 1, 3, 1, 0, 0, 4, 0], '0x1.38233818f5663p-32'),  # 1280 states
+    ([0, 0, 0, 2, 0, 0, 1, 4, 1, 0, 2, 4, 0, 0, 2, 0], '0x1.597965b5cf22cp-29'),  # 1350 states
+    ([0, 0, 0, 1, 1, 5, 4, 0, 0, 1, 2, 0, 0, 0, 1, 1], '0x1.67b85f27f3f1ep-28'),  # 1440 states
+    ([0, 0, 2, 1, 0, 0, 1, 2, 0, 6, 2, 0, 1, 0, 0, 1], '0x1.e4cc52f7cbd58p-31'),  # 1512 states
+    ([3, 2, 0, 0, 0, 1, 0, 1, 5, 0, 2, 0, 0, 1, 0, 1], '0x1.1bc6e18b6a9cdp-26'),  # 1728 states
+    ([0, 2, 4, 0, 0, 1, 1, 1, 0, 2, 0, 0, 1, 0, 0, 4], '0x1.c44ea221faf54p-29'),  # 1800 states
+    ([3, 0, 0, 0, 0, 1, 0, 4, 3, 1, 0, 1, 0, 1, 2, 0], '0x1.409dde5242f66p-27'),  # 1920 states
+    ([0, 1, 1, 1, 0, 0, 1, 2, 0, 1, 6, 1, 0, 2, 0, 0], '0x1.5e1c93daedbdep-28'),  # 2016 states
+    ([1, 2, 3, 2, 0, 0, 0, 0, 0, 1, 2, 0, 1, 4, 0, 0], '0x1.74806b14143bap-30'),  # 2160 states
+    ([0, 3, 0, 3, 2, 0, 2, 0, 1, 1, 3, 1, 0, 0, 0, 0], '0x1.5d0f918a23d6fp-28'),  # 2304 states
+    ([1, 0, 1, 0, 0, 1, 1, 3, 3, 0, 0, 0, 0, 1, 4, 1], '0x1.b4ffbb1b33f65p-31'),  # 2560 states
+    ([2, 2, 3, 1, 2, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3], '0x1.24c0612e32626p-28'),  # 2592 states
+    ([1, 3, 1, 1, 0, 0, 0, 2, 0, 1, 1, 0, 2, 4, 0, 0], '0x1.70a33ac47af3bp-30'),  # 2880 states
+    ([3, 1, 1, 2, 0, 3, 3, 0, 1, 0, 0, 0, 0, 0, 1, 1], '0x1.dc4b4ba14116dp-32'),  # 3072 states
+    ([2, 1, 0, 3, 0, 0, 0, 2, 3, 0, 0, 2, 0, 1, 1, 1], '0x1.54569e225aadfp-30'),  # 3456 states
+    ([1, 3, 2, 0, 0, 0, 1, 0, 2, 1, 1, 0, 3, 0, 0, 2], '0x1.6417a8e24dbb0p-29'),  # 3456 states
+    ([2, 3, 2, 0, 0, 0, 2, 2, 1, 0, 2, 0, 0, 1, 0, 1], '0x1.788e7f11e2278p-28'),  # 3888 states
+    ([1, 2, 0, 1, 0, 0, 2, 2, 1, 0, 1, 0, 0, 1, 1, 4], '0x1.560d408fa48a1p-27'),  # 4320 states
+    ([0, 1, 0, 1, 1, 1, 0, 0, 3, 1, 0, 2, 2, 0, 3, 1], '0x1.4803545b5cacfp-30'),  # 4608 states
+    ([1, 1, 0, 0, 0, 3, 2, 0, 1, 1, 0, 2, 0, 1, 2, 2], '0x1.5b86846e15a3fp-28'),  # 5184 states
+    ([2, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 3, 0, 2, 2, 1], '0x1.bd9da29f56878p-31'),  # 6912 states
+    ([2, 1, 2, 1, 1, 1, 0, 0, 1, 1, 1, 2, 2, 1, 0, 0], '0x1.10dbab8506808p-27'),  # 10368 states
+    ([1, 1, 1, 1, 2, 1, 0, 1, 1, 0, 2, 0, 0, 1, 2, 2], '0x1.b29f51d8fda70p-28'),  # 10368 states
+    ([2, 2, 1, 2, 2, 1, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0], '0x1.3fcb89fe17460p-31'),  # 10368 states
+    ([3, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 0, 2, 1, 1], '0x1.119f1c523d24ep-29'),  # 12288 states
+    ([0, 1, 1, 0, 1, 1, 1, 1, 2, 1, 1, 2, 0, 2, 1, 1], '0x1.367dd1c46ff52p-30'),  # 13824 states
+    ([1, 1, 1, 2, 0, 1, 0, 2, 1, 2, 1, 1, 0, 1, 1, 1], '0x1.a87ecc6b3b4c6p-31'),  # 13824 states
+    ([1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], '0x1.96dda45bad86dp-28'),  # 32768 states
+    ([16, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '0x1.764e10ca1413ap-32'),  # 1 states
+    ([2, 2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0], '0x1.e1768c24dc203p-30'),  # 2187 states
+]
+GOLDEN_5 = [
+    ([1, 1, 1, 1, 1], '0x1.057320f76b719p-10'),
+    ([5, 0, 0, 0, 0], '0x1.19cd37ac8b980p-7'),
+    ([0, 2, 0, 3, 0], '0x1.10c4fce0a9d9bp-7'),
+    ([1, 0, 2, 0, 2], '0x1.7c3a4ea499b5dp-8'),
+    ([0, 1, 1, 1, 2], '0x1.6766796b6635ep-10'),
+]
+
+
+@pytest.mark.parametrize("dim, golden", [(16, GOLDEN_16), (5, GOLDEN_5)])
+def test_output_probability_bits_are_pinned(dim, golden):
+    u = haar_unitary(dim, seed=2026)
+    got = [(occ, float.hex(output_probability(u, occ))) for occ, _ in golden]
+    assert got == golden
