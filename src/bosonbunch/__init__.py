@@ -23,9 +23,7 @@ from .matrices import (
 )
 from .permanent import (
     CostEstimate,
-    GrayStep,
     cost_estimate,
-    mixed_radix_gray,
     output_probability,
     permanent_glynn,
     permanent_naive,

@@ -109,6 +109,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dist(args) -> int:
+    if args.plot_data and not args.out:
+        raise ValueError("--plot-data needs --out to derive the figure file path")
     dist = occupied_ports_pmf(args.bosons, args.modes)
     out = _open_out(args)
     try:
@@ -117,8 +119,6 @@ def cmd_dist(args) -> int:
         if out is not sys.stdout:
             out.close()
     if args.plot_data:
-        if not args.out:
-            raise ValueError("--plot-data needs --out to derive the figure file path")
         delta_minus, delta_plus = solve_tail_crossings(args.bosons / args.modes)
         scale = args.bosons / (1.0 + args.bosons / args.modes)
         regions = ((1.0 - delta_minus) * scale, (1.0 + delta_plus) * scale)
@@ -137,6 +137,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     u = load_unitary(args.unitary)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     exact = brute_force_distribution(u, args.bosons)
     batch = sample_batch(u, args.bosons, args.samples, args.seed)
     counts = empirical_counts(batch)

@@ -9,6 +9,11 @@ of its radix (multiplicity + 1) and builds the row sums of every variable
 assignment in tables of at most ``INNER_STATES`` states, so a state costs
 one vectorised row product rather than a Python step; pinning the variable
 of a least-repeated column shrinks the enumeration by that column's factor.
+
+The cost is reported as ``gray_steps``: the enumerated states less one,
+the moves a Gray walk over them would make, though no walk is taken.
+``cost_estimate`` gives the same cost in closed form, N row products per
+state, N * prod(m_l + 1) / min(m_l + 1) op units in all.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +34,7 @@ GRAY_LIMIT = 30
 INNER_STATES = 4096
 
 __all__ = [
-    "GrayStep",
     "CostEstimate",
-    "mixed_radix_gray",
     "permanent_naive",
     "permanent_ryser",
     "permanent_glynn",
@@ -51,44 +54,6 @@ def _as_square(matrix, limit: int, algorithm: str) -> np.ndarray:
             f"{algorithm} is capped at dimension {limit}, got {a.shape[0]}"
         )
     return a
-
-
-@dataclass(frozen=True)
-class GrayStep:
-    """One move of the mixed-radix walk: coordinate changed and its new digit."""
-
-    position: int
-    new_value: int
-
-
-def mixed_radix_gray(moduli: Sequence[int]) -> Iterator[GrayStep]:
-    """Walk every tuple of the mixed-radix box, one coordinate at a time.
-
-    Starting from the all-zeros tuple, yields prod(moduli) - 1 steps; each
-    step changes exactly one coordinate by one unit. Coordinates with
-    modulus 1 never move, and an empty or all-ones list yields nothing
-    (the single trivial state).
-    """
-    radices = [int(r) for r in moduli]
-    if any(r < 1 for r in radices):
-        raise ValueError(f"moduli must all be >= 1, got {radices}")
-    active = [i for i, r in enumerate(radices) if r > 1]
-    m = [radices[i] for i in active]
-    d = len(active)
-    digits = [0] * d
-    direction = [1] * d
-    focus = list(range(d + 1))
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == d:
-            return
-        digits[j] += direction[j]
-        if digits[j] == 0 or digits[j] == m[j] - 1:
-            direction[j] = -direction[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-        yield GrayStep(position=active[j], new_value=digits[j])
 
 
 def permanent_naive(matrix) -> complex:

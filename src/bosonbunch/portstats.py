@@ -16,13 +16,13 @@ to log-gamma space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, _check_boson_count
 
 RATIONAL_LIMIT = 400  # above this N + M, binomial doubles come from log-gamma
 BISECTION_ITERATIONS = 200
@@ -86,17 +86,6 @@ class PortDistribution:
             fp.write(line + "\n")
 
 
-def _validate_counts(n_bosons: int, n_ports: int) -> None:
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
-    if n_ports < 1:
-        raise ValueError(f"n_ports must be >= 1, got {n_ports}")
-    if n_bosons > n_ports:
-        raise UnsupportedRegimeError(
-            f"{n_bosons} bosons on {n_ports} ports: densities above one are not supported"
-        )
-
-
 def _envelope_exact(n_bosons: int, n_ports: int, n: int) -> Fraction:
     x = Fraction(n_bosons, n_bosons + n_ports)
     return math.comb(n_ports, n) * x**n * (1 - x) ** (n_ports - n)
@@ -125,7 +114,7 @@ def occupied_ports_pmf(n_bosons: int, n_ports: int) -> PortDistribution:
     sum to one identically (a Vandermonde convolution) and the mean is
     MN / (M + N - 1); both identities are preserved bit-exactly.
     """
-    _validate_counts(n_bosons, n_ports)
+    _check_boson_count(n_bosons, n_ports)
     denominator = math.comb(n_ports + n_bosons - 1, n_ports - 1)
     exact = tuple(
         Fraction(math.comb(n_ports, n) * math.comb(n_bosons - 1, n - 1), denominator)
@@ -292,25 +281,7 @@ class BoundsReport:
     sample_upper_log2: float | None = None
 
     def as_dict(self) -> dict:
-        doc = {
-            "n_bosons": self.n_bosons,
-            "n_ports": self.n_ports,
-            "rho": self.rho,
-            "epsilon": self.epsilon,
-            "tail_half_width": self.tail_half_width,
-            "radix": self.radix,
-            "n_minus": self.n_minus,
-            "n_plus": self.n_plus,
-            "prob_lower_log2": self.prob_lower_log2,
-            "prob_upper_log2": self.prob_upper_log2,
-            "right_tail_absent": self.right_tail_absent,
-            "n_equiv": self.n_equiv,
-            "bunching_cutoff": self.bunching_cutoff,
-            "sample_lower_log2": self.sample_lower_log2,
-            "sample_upper_log2": self.sample_upper_log2,
-            "formulas": dict(_FORMULAS),
-        }
-        return doc
+        return {**asdict(self), "formulas": dict(_FORMULAS)}
 
 
 def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> BoundsReport:
@@ -320,7 +291,7 @@ def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> Boun
     lies between N 2^((1-delta) N / (1+rho)) and N (1+r)^(N/r), where r is
     the effective radix max(1, (1+rho)/(1+delta)).
     """
-    _validate_counts(n_bosons, n_ports)
+    _check_boson_count(n_bosons, n_ports)
     rho = n_bosons / n_ports
     delta = tail_half_width(n_bosons, rho, epsilon)
     radix = max(1.0, (1.0 + rho) / (1.0 + delta))
@@ -357,19 +328,8 @@ def sampling_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> BoundsR
     sample_upper = float(
         np.logaddexp2(math.log2(cutoff + 2.0) + base.prob_upper_log2, overhead_log2)
     )
-    return BoundsReport(
-        n_bosons=base.n_bosons,
-        n_ports=base.n_ports,
-        rho=base.rho,
-        epsilon=base.epsilon,
-        tail_half_width=base.tail_half_width,
-        radix=base.radix,
-        n_minus=base.n_minus,
-        n_plus=base.n_plus,
-        prob_lower_log2=base.prob_lower_log2,
-        prob_upper_log2=base.prob_upper_log2,
-        right_tail_absent=base.right_tail_absent,
-        n_equiv=base.n_equiv,
+    return replace(
+        base,
         bunching_cutoff=cutoff,
         sample_lower_log2=sample_lower,
         sample_upper_log2=sample_upper,

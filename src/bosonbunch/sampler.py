@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import _check_boson_count
 from .matrices import UnitaryMatrix, fingerprint
 from .permanent import INNER_STATES, _expansion_sum, _unit_roots
 
@@ -294,16 +294,6 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     occupied = np.flatnonzero(occ)
     weights, _ = _weights_counted(u.matrix, rows, occupied, occ[occupied])
     return weights
-
-
-def _check_boson_count(n_bosons: int, m_ports: int) -> None:
-    """Reject boson counts outside 1..M before any work starts."""
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
-    if n_bosons > m_ports:
-        raise UnsupportedRegimeError(
-            f"{n_bosons} bosons on {m_ports} ports: densities above one are not supported"
-        )
 
 
 def _chain_sample(

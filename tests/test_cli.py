@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -101,6 +104,29 @@ def test_import_leaves_scipy_unloaded():
     code = "import sys, bosonbunch; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    package = os.path.dirname(bosonbunch.__file__)
+    for info in pkgutil.iter_modules([package]):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"bosonbunch.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"bosonbunch.{info.name}.__all__ names missing {name!r}"
+    with open(bosonbunch.__file__, encoding="utf-8") as fp:
+        tree = ast.parse(fp.read())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(f"bosonbunch.{module}"), name)
+        assert hasattr(bosonbunch, name)
 
 
 def test_permanent_missing_file_is_usage_error(tmp_path):
@@ -238,6 +264,13 @@ def test_dist_plot_data_writes_figure_series(tmp_path):
     assert "left-tail" in regions and "core" in regions and "right-tail" in regions
 
 
+def test_dist_plot_data_without_out_writes_nothing(capsys):
+    assert main(["dist", "-n", "5", "-m", "10", "--plot-data"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--plot-data needs --out" in captured.err
+
+
 def test_dist_rejects_inverted_counts():
     assert main(["dist", "-n", "5", "-m", "2"]) == 2
 
@@ -248,6 +281,13 @@ def test_bounds_report(capsys):
     assert doc["n_equiv"] == 15.0
     assert doc["sample_lower_log2"] <= doc["sample_upper_log2"]
     assert "formulas" in doc
+
+
+def test_bounds_stdout_is_pinned(capsys):
+    # the whole report as printed: keys, their order, values and formulas
+    assert main(["bounds", "-n", "20", "-m", "60", "--epsilon", "0.05"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "4e5fe505ab36e915b8c26b05bbdb014030a2272b089b7f68bf1bb729206061d7"
 
 
 def test_bounds_rejects_bad_epsilon():
@@ -268,6 +308,18 @@ def test_verify_undersampled_run_fails_with_code_1(tmp_path, capsys):
     # 25 samples over 6 configurations cannot track the distribution to 0.02
     assert main(["verify", "--unitary", str(path), "-n", "2", "--samples", "25", "--seed", "4"]) == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_rejects_non_positive_samples_before_enumerating(four_port_path, samples, monkeypatch, capsys):
+    def enumerate_configurations(*args):
+        raise AssertionError("brute_force_distribution ran")
+
+    monkeypatch.setattr(bosonbunch.cli, "brute_force_distribution", enumerate_configurations)
+    assert main(["verify", "--unitary", four_port_path, "-n", "2", "--samples", samples, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples must be >= 1" in captured.err
 
 
 def test_verify_refuses_infeasible_enumeration(tmp_path):

@@ -7,7 +7,6 @@ from bosonbunch import (
     UnitaryMatrix,
     cost_estimate,
     haar_unitary,
-    mixed_radix_gray,
     output_probability,
     permanent_glynn,
     permanent_naive,
@@ -83,57 +82,6 @@ def test_fast_permanents_match_oracle():
             reference = permanent_naive(a)
             assert rel_err(permanent_ryser(a), reference) < 1e-9
             assert rel_err(permanent_glynn(a), reference) < 1e-9
-
-
-# ----------------------------------------------------------------- gray code
-
-
-def test_gray_two_bits_is_reflected_sequence():
-    steps = [(s.position, s.new_value) for s in mixed_radix_gray([2, 2])]
-    assert steps == [(0, 1), (1, 1), (0, 0)]
-
-
-def test_gray_single_modulus():
-    steps = [(s.position, s.new_value) for s in mixed_radix_gray([3])]
-    assert steps == [(0, 1), (0, 2)]
-
-
-def _replay(moduli):
-    state = [0] * len(moduli)
-    visited = [tuple(state)]
-    for step in mixed_radix_gray(moduli):
-        old = state[step.position]
-        assert abs(step.new_value - old) == 1, "step must move one unit"
-        assert 0 <= step.new_value < moduli[step.position]
-        state[step.position] = step.new_value
-        visited.append(tuple(state))
-    return visited
-
-
-@pytest.mark.parametrize(
-    "moduli",
-    [(2, 3), (3, 2), (2, 2, 2), (4,), (1,), (1, 3, 1, 2), (3, 1, 4), (2, 2, 3, 2)],
-)
-def test_gray_visits_every_tuple_once(moduli):
-    visited = _replay(list(moduli))
-    total = math.prod(moduli)
-    assert len(visited) == total
-    assert len(set(visited)) == total
-
-
-def test_gray_empty_and_invalid():
-    assert list(mixed_radix_gray([])) == []
-    assert list(mixed_radix_gray([1, 1])) == []
-    with pytest.raises(ValueError):
-        list(mixed_radix_gray([2, 0]))
-
-
-def test_gray_random_moduli_property():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        moduli = [int(m) for m in rng.integers(1, 5, size=rng.integers(1, 5))]
-        visited = _replay(moduli)
-        assert len(set(visited)) == math.prod(moduli)
 
 
 # ------------------------------------------------------------ repeated columns

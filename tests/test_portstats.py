@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -266,6 +268,13 @@ def test_bounds_report_serializes():
     doc = sampling_cost_bounds(12, 24, 0.1).as_dict()
     for key in ("n_bosons", "rho", "tail_half_width", "radix", "n_equiv", "formulas"):
         assert key in doc
+
+
+def test_probability_bounds_dict_is_pinned():
+    # keys, their order, values and formulas of the report
+    doc = json.dumps(probability_cost_bounds(12, 12, 0.1).as_dict())
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert digest == "bed439f9185f4039fd6ffa53cff235af8b45c9eb58d582a1a825dae5ae237b4c"
 
 
 # ----------------------------------------------------------- joint properties
