@@ -6,7 +6,7 @@ and quantifies the speedup with occupied-port statistics and operation-count
 bounds.
 """
 
-from .bench import OpTrace, scaling_report, trace_permanent, trace_sample, write_scaling_csv
+from .bench import scaling_report, trace_sample, write_scaling_csv
 from .errors import UnsupportedRegimeError
 from .matrices import (
     UNITARITY_TOLERANCE,

@@ -1,27 +1,25 @@
-"""Instrumented runs reconciling measured operation counts with the model.
+"""Chain samples checked against their cost envelope, and the scaling sweep.
 
+The counters are the chain's own ``SampleOps``; this module defines none.
 An operation unit is one enumerated state's worth of row work (one addition
-and one multiplication per row); wall time is recorded for orientation but
-never asserted. Envelope comparisons happen at exponent level (log2 counts)
-with the asymptotic constants taken as one, which leaves a documented slack
-of two bits on the lower side: the weight-evaluation work is M*K summed over
-steps (about half of M*N^2) and a realized prefix can shave one doubling off
-the final enumeration.
+and one multiplication per row). Envelope comparisons happen at exponent
+level (log2 counts) with the asymptotic constants taken as one, which leaves
+a documented slack of two bits on the lower side: the weight-evaluation
+work is M*K summed over steps (about half of M*N^2) and a realized prefix
+can shave one doubling off the final enumeration.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .matrices import UnitaryMatrix, haar_unitary
-from .permanent import cost_estimate, repeated_column_expansion
+from .permanent import cost_estimate
 from .portstats import probability_cost_bounds, sampling_cost_bounds
-from .sampler import PortSequence, _chain_sample
+from .sampler import PortSequence, SampleOps, draw_sample_counted
 
 LOWER_ENVELOPE_SLACK_LOG2 = 2.0
 
@@ -39,58 +37,12 @@ CSV_COLUMNS = (
 )
 
 __all__ = [
-    "OpTrace",
-    "trace_permanent",
     "trace_sample",
     "scaling_report",
     "write_scaling_csv",
     "CSV_COLUMNS",
     "LOWER_ENVELOPE_SLACK_LOG2",
 ]
-
-
-@dataclass(frozen=True)
-class OpTrace:
-    """Measured counters for one instrumented evaluation."""
-
-    context: str  # "permanent" or "full-sample"
-    occupations: tuple[int, ...]
-    gray_steps: int
-    row_ops: int
-    op_units: int
-    wall_time: float
-    per_step_gray: tuple[int, ...] = ()
-
-
-def trace_permanent(
-    column_block, multiplicities: Sequence[int]
-) -> tuple[complex, OpTrace]:
-    """Repeated-column permanent plus exact counters.
-
-    Raises if the measured Gray-step count ever drifts from the closed form
-    prod(m_j + 1) / min(m_j + 1) - 1; the counter and the model must agree
-    exactly or the cost accounting is broken.
-    """
-    started = time.perf_counter()
-    value, steps = repeated_column_expansion(column_block, multiplicities)
-    elapsed = time.perf_counter() - started
-    estimate = cost_estimate(multiplicities)
-    expected_steps = estimate.bunching_product // estimate.min_factor - 1
-    if steps != expected_steps:
-        raise RuntimeError(
-            f"gray step counter {steps} drifted from model {expected_steps}"
-            f" for multiplicities {list(multiplicities)}"
-        )
-    n_bosons = sum(int(m) for m in multiplicities)
-    trace = OpTrace(
-        context="permanent",
-        occupations=tuple(int(m) for m in multiplicities),
-        gray_steps=steps,
-        row_ops=n_bosons * (steps + 1),
-        op_units=estimate.op_units,
-        wall_time=elapsed,
-    )
-    return value, trace
 
 
 def _sample_envelope(n_bosons: int, n_ports: int, config: np.ndarray) -> tuple[int, int]:
@@ -110,36 +62,22 @@ def trace_sample(
     n_bosons: int,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-) -> tuple[PortSequence, OpTrace]:
-    """One chain sample with accumulated per-step counters.
+) -> tuple[PortSequence, SampleOps]:
+    """One chain sample with its counters.
 
     Verifies on the way out that the realized op units sit inside the
     envelope instantiated with the realized configuration (lower side with
-    the two-bit constants slack); a violation means the instrumentation and
+    the two-bit constants slack); a violation means the chain's counters and
     the cost model have diverged.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-    started = time.perf_counter()
-    seq, ops = _chain_sample(u, n_bosons, rng, seed_note=seed)
-    elapsed = time.perf_counter() - started
-    config = seq.configuration(u.dim)
-    lower, upper = _sample_envelope(n_bosons, u.dim, config)
+    seq, ops = draw_sample_counted(u, n_bosons, rng, seed)
+    lower, upper = _sample_envelope(n_bosons, u.dim, seq.configuration(u.dim))
     if not (lower <= ops.op_units * 2**LOWER_ENVELOPE_SLACK_LOG2 and ops.op_units <= upper):
         raise RuntimeError(
             f"sample op units {ops.op_units} escaped the realized envelope"
             f" [{lower} / {int(2 ** LOWER_ENVELOPE_SLACK_LOG2)}, {upper}]"
         )
-    trace = OpTrace(
-        context="full-sample",
-        occupations=tuple(int(c) for c in config),
-        gray_steps=ops.gray_steps,
-        row_ops=ops.row_ops,
-        op_units=ops.op_units,
-        wall_time=elapsed,
-        per_step_gray=ops.per_step_gray,
-    )
-    return seq, trace
+    return seq, ops
 
 
 def scaling_report(
@@ -175,9 +113,9 @@ def scaling_report(
         gray_totals = []
         for s in range(samples_per_point):
             child = np.random.SeedSequence(entropy=seed, spawn_key=(idx, s + 1))
-            _, trace = trace_sample(u, n_bosons, rng=np.random.default_rng(child))
-            op_units.append(trace.op_units)
-            gray_totals.append(trace.gray_steps)
+            _, ops = trace_sample(u, n_bosons, rng=np.random.default_rng(child))
+            op_units.append(ops.op_units)
+            gray_totals.append(ops.gray_steps)
 
         t1 = probability_cost_bounds(n_bosons, n_ports, epsilon)
         t2 = sampling_cost_bounds(n_bosons, n_ports, epsilon)

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _integer_entries
+
 UNITARITY_TOLERANCE = 1e-12
 
 __all__ = [
@@ -104,7 +106,7 @@ def identity_unitary(dim: int) -> UnitaryMatrix:
 
 def permutation_unitary(targets: Sequence[int]) -> UnitaryMatrix:
     """Unitary routing input port k to output port ``targets[k-1]`` (1-based)."""
-    perm = [int(t) for t in targets]
+    perm = _integer_entries(targets, "targets").tolist()
     dim = len(perm)
     if sorted(perm) != list(range(1, dim + 1)):
         raise ValueError(f"targets must be a permutation of 1..{dim}, got {targets}")
@@ -126,8 +128,8 @@ def submatrix(u, row_indices: Sequence[int], port_multiset: Sequence[int]) -> np
     bit-exactly from the source matrix.
     """
     a = _matrix_of(u)
-    rows = [int(r) for r in row_indices]
-    ports = [int(p) for p in port_multiset]
+    rows = _integer_entries(row_indices, "row indices").tolist()
+    ports = _integer_entries(port_multiset, "port multiset").tolist()
     if not rows or not ports:
         raise ValueError("row_indices and port_multiset must be non-empty")
     if any(not 1 <= r <= a.shape[0] for r in rows):

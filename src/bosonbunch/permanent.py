@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import _integer_entries
 from .matrices import UnitaryMatrix
 
 NAIVE_LIMIT = 10
@@ -171,20 +172,6 @@ def _row_products(p: np.ndarray, t: np.ndarray) -> complex:
     return p @ t.prod(axis=0)
 
 
-def _integer_entries(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D int64 array; ValueError for any entry whose value
-    is not an integer (1.5, NaN, the string "1"). Integer-valued floats such
-    as 2.0 are accepted."""
-    a = np.asarray(values)
-    if a.ndim != 1:
-        raise ValueError(f"{what} must be a flat sequence, got shape {a.shape}")
-    if a.dtype.kind in "biu":
-        return a.astype(np.int64, copy=False)
-    if a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all():
-        return a.astype(np.int64)
-    raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
-
-
 def _repeated_permanent(
     block: np.ndarray, mult: list[int], fix_minimal: bool = True
 ) -> tuple[complex, int]:
@@ -252,20 +239,25 @@ class CostEstimate:
     min_factor: int
 
 
+def _pinned_states(counts) -> int:
+    """States of one expansion over ports holding ``counts`` bosons (each at
+    least one) with a least-count port pinned: prod(c + 1) / min(c + 1)."""
+    factors = [c + 1 for c in counts]
+    return math.prod(factors) // min(factors)
+
+
 def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
     """Evaluation cost of one output probability for the given configuration."""
     occ = _integer_entries(occupations, "occupations").tolist()
     if any(m < 0 for m in occ):
         raise ValueError(f"occupations must be non-negative, got {occ}")
-    factors = [m + 1 for m in occ if m > 0]
-    if not factors:
+    counts = [m for m in occ if m > 0]
+    if not counts:
         raise ValueError("configuration holds no bosons")
-    product = math.prod(factors)
-    low = min(factors)
     return CostEstimate(
-        op_units=sum(occ) * (product // low),
-        bunching_product=product,
-        min_factor=low,
+        op_units=sum(counts) * _pinned_states(counts),
+        bunching_product=math.prod(c + 1 for c in counts),
+        min_factor=min(counts) + 1,
     )
 
 

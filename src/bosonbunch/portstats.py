@@ -114,7 +114,7 @@ def occupied_ports_pmf(n_bosons: int, n_ports: int) -> PortDistribution:
     sum to one identically (a Vandermonde convolution) and the mean is
     MN / (M + N - 1); both identities are preserved bit-exactly.
     """
-    _check_boson_count(n_bosons, n_ports)
+    n_bosons, n_ports = _check_boson_count(n_bosons, n_ports)
     denominator = math.comb(n_ports + n_bosons - 1, n_ports - 1)
     exact = tuple(
         Fraction(math.comb(n_ports, n) * math.comb(n_bosons - 1, n - 1), denominator)
@@ -209,7 +209,7 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     with probability epsilon."""
     if n_bosons < 1:
         raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -221,7 +221,7 @@ def max_occupation_cdf(n_bosons: int, n_ports: int, m: float) -> float:
     [1 - (rho / (1 + rho))^(m+1)]^M."""
     if n_bosons < 1 or n_ports < 1:
         raise ValueError("n_bosons and n_ports must be >= 1")
-    if m < 0:
+    if not m >= 0:
         raise ValueError(f"m must be >= 0, got {m}")
     rho = n_bosons / n_ports
     return (1.0 - (rho / (1.0 + rho)) ** (m + 1.0)) ** n_ports
@@ -291,7 +291,7 @@ def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> Boun
     lies between N 2^((1-delta) N / (1+rho)) and N (1+r)^(N/r), where r is
     the effective radix max(1, (1+rho)/(1+delta)).
     """
-    _check_boson_count(n_bosons, n_ports)
+    n_bosons, n_ports = _check_boson_count(n_bosons, n_ports)
     rho = n_bosons / n_ports
     delta = tail_half_width(n_bosons, rho, epsilon)
     radix = max(1.0, (1.0 + rho) / (1.0 + delta))

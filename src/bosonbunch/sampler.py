@@ -26,9 +26,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import _check_boson_count
+from .errors import _check_boson_count, _integer_entries
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _unit_roots
+from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _unit_roots
 
 BRUTE_FORCE_LIMIT = 100_000
 
@@ -188,13 +188,14 @@ class _PrefixTable:
 
     ``mp`` holds the unitary's rows in chain order, so step k uses
     ``mp[:k]``. ``t`` has shape (N, r_1, ..., r_d): the row sums of every
-    state for all N rows, one axis per summed port (listed in ``axes``)
-    whose variable runs over the r-th roots of unity, r = count + 1. ``p``
-    has shape (r_1, ..., r_d) and holds each state's variable product. The
-    pinned port, a least-count one, sits in ``t`` with its variable fixed at
-    1, so there are prod(c + 1) / min(c + 1) states. Once that number would
-    pass ``INNER_STATES`` the table is dropped (memory stays at most
-    N x INNER_STATES entries) and ``weights`` expands the prefix afresh.
+    state for all N rows, one axis per summed port (listed in ``axes``,
+    newest first) whose variable runs over the r-th roots of unity,
+    r = count + 1. ``p`` has shape (r_1, ..., r_d) and holds each state's
+    variable product. The pinned port, a least-count one, sits in ``t`` with
+    its variable fixed at 1, so there are prod(c + 1) / min(c + 1) states.
+    Once that number would pass ``INNER_STATES`` the table is dropped (memory
+    stays at most N x INNER_STATES entries) and ``weights`` expands the
+    prefix afresh.
     """
 
     def __init__(self, mp: np.ndarray):
@@ -225,8 +226,7 @@ class _PrefixTable:
         self.counts[q] = c + 1
         if self.t is None:
             return
-        factors = [n + 1 for n in self.counts.values()]
-        if math.prod(factors) // min(factors) > INNER_STATES:
+        if _pinned_states(self.counts.values()) > INNER_STATES:
             self.t = self.p = None
             return
         pin = self.pin
@@ -263,13 +263,14 @@ class _PrefixTable:
 
     def _spread(self, port: int, radix: int, held: bool) -> None:
         """Sum ``port``'s variable over the ``radix``-th roots of unity on a
-        new last axis; ``held`` when ``t`` already holds its column once."""
+        new first state axis, so that the broadcast runs along the existing
+        states; ``held`` when ``t`` already holds its column once."""
         roots = _unit_roots(radix)
         shifts = roots - 1 if held else roots
-        shape = (-1,) + (1,) * (self.t.ndim - 1) + (radix,)
-        self.t = self.t[..., None] + np.multiply.outer(self.mp[:, port], shifts).reshape(shape)
-        self.p = self.p[..., None] * roots
-        self.axes.append(port)
+        shape = (-1, radix) + (1,) * (self.t.ndim - 1)
+        self.t = self.t[:, None] + np.multiply.outer(self.mp[:, port], shifts).reshape(shape)
+        self.p = np.multiply.outer(roots, self.p)
+        self.axes.insert(0, port)
 
 
 def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
@@ -286,7 +287,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     if len(prefix) >= n:
         raise ValueError(f"prefix of length {len(prefix)} leaves no port to sample")
     m_ports = u.dim
-    ports = np.asarray(prefix, dtype=int)
+    ports = _integer_entries(prefix, "prefix")
     if ports.size and (ports.min() < 1 or ports.max() > m_ports):
         raise ValueError(f"prefix ports must lie in 1..{m_ports}")
     rows = np.asarray(pi[: len(prefix) + 1], dtype=int) - 1
@@ -300,7 +301,7 @@ def _chain_sample(
     u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
 ) -> tuple[PortSequence, SampleOps]:
     m_ports = u.dim
-    _check_boson_count(n_bosons, m_ports)
+    n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     pi = sample_permutation(n_bosons, rng)
     table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
 
@@ -410,7 +411,8 @@ def sample_batch(
 ) -> SampleBatch:
     """``count`` independent samples with per-sample seeds derived from
     (master_seed, index); the result is identical however it is scheduled."""
-    _check_boson_count(n_bosons, u.dim)
+    n_bosons, _ = _check_boson_count(n_bosons, u.dim)
+    (count,) = _integer_entries([count], "count").tolist()
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     children = np.random.SeedSequence(master_seed).spawn(count)
@@ -444,7 +446,7 @@ def brute_force_distribution(
     from .permanent import output_probability
 
     m_ports = u.dim
-    _check_boson_count(n_bosons, m_ports)
+    n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)
     if n_configs > BRUTE_FORCE_LIMIT:
         raise ValueError(

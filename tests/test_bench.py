@@ -6,66 +6,27 @@ import pytest
 
 from bosonbunch import (
     UnitaryMatrix,
-    cost_estimate,
     haar_unitary,
     sampling_cost_bounds,
     scaling_report,
-    trace_permanent,
     trace_sample,
     write_scaling_csv,
 )
 from bosonbunch.bench import CSV_COLUMNS, LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
-from helpers import random_complex
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 
-def test_trace_fully_bunched_is_single_product():
-    rng = np.random.default_rng(1)
-    block = random_complex(rng, (5, 1))
-    _, trace = trace_permanent(block, [5])
-    assert trace.gray_steps == 0
-    assert trace.op_units == 5
-
-
-def test_trace_collision_free_walks_half_the_cube():
-    rng = np.random.default_rng(2)
-    n = 6
-    block = random_complex(rng, (n, n))
-    _, trace = trace_permanent(block, [1] * n)
-    assert trace.gray_steps == 2 ** (n - 1) - 1
-    assert trace.op_units == n * 2 ** (n - 1)
-
-
-def test_trace_two_one_pattern():
-    rng = np.random.default_rng(3)
-    block = random_complex(rng, (3, 2))
-    _, trace = trace_permanent(block, [2, 1])
-    assert trace.gray_steps == 2
-    assert trace.op_units == 9
-
-
-def test_trace_counter_equals_cost_estimate_everywhere():
-    rng = np.random.default_rng(4)
-    for pattern in [(3,), (1, 1, 1), (2, 2), (3, 1, 1), (2, 2, 2, 1), (4, 2, 1)]:
-        n = sum(pattern)
-        block = random_complex(rng, (n, len(pattern)))
-        _, trace = trace_permanent(block, pattern)
-        estimate = cost_estimate(pattern)
-        assert trace.op_units == estimate.op_units
-        assert trace.gray_steps == estimate.bunching_product // estimate.min_factor - 1
-
-
 def test_trace_sample_basics():
     u = haar_unitary(5, seed=5)
-    seq, trace = trace_sample(u, 1, seed=0)
-    assert trace.gray_steps == 0
-    assert trace.per_step_gray == (0,)
-    assert sum(trace.occupations) == 1
+    seq, ops = trace_sample(u, 1, seed=0)
+    assert ops.gray_steps == 0
+    assert ops.per_step_gray == (0,)
+    assert sum(seq.configuration(5)) == 1
 
     # a bunched beamsplitter prefix degenerates to the single-product path
-    _, trace = trace_sample(BEAMSPLITTER, 2, seed=0)
-    assert trace.per_step_gray == (0, 0)
+    _, ops = trace_sample(BEAMSPLITTER, 2, seed=0)
+    assert ops.per_step_gray == (0, 0)
 
 
 def test_trace_sample_respects_realized_envelope():
@@ -73,11 +34,10 @@ def test_trace_sample_respects_realized_envelope():
     # draws is the assertion; verify the envelope numbers directly as well
     for s in range(60):
         u = haar_unitary(8, seed=600 + s)
-        _, trace = trace_sample(u, 8, seed=s)
-        config = np.array(trace.occupations)
-        lower, upper = _sample_envelope(8, 8, config)
-        assert trace.op_units <= upper
-        assert trace.op_units * 2**LOWER_ENVELOPE_SLACK_LOG2 >= lower
+        seq, ops = trace_sample(u, 8, seed=s)
+        lower, upper = _sample_envelope(8, 8, seq.configuration(8))
+        assert ops.op_units <= upper
+        assert ops.op_units * 2**LOWER_ENVELOPE_SLACK_LOG2 >= lower
 
 
 def test_trace_sample_within_sampling_bounds_envelope():
@@ -88,8 +48,8 @@ def test_trace_sample_within_sampling_bounds_envelope():
     outside = 0
     for s in range(100):
         u = haar_unitary(n_ports, seed=700 + s)
-        _, trace = trace_sample(u, n_bosons, seed=s)
-        exponent = math.log2(trace.op_units)
+        _, ops = trace_sample(u, n_bosons, seed=s)
+        exponent = math.log2(ops.op_units)
         if not (
             report.sample_lower_log2 - LOWER_ENVELOPE_SLACK_LOG2
             <= exponent
@@ -107,8 +67,8 @@ def test_bunching_speeds_up_sampling():
         totals = []
         for s in range(30):
             u = haar_unitary(m_ports, seed=seed0 + s)
-            _, trace = trace_sample(u, n_bosons, seed=s)
-            totals.append(trace.gray_steps)
+            _, ops = trace_sample(u, n_bosons, seed=s)
+            totals.append(ops.gray_steps)
         return float(np.mean(totals))
 
     assert mean_gray(n_bosons, 800) < mean_gray(4 * n_bosons, 900)

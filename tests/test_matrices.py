@@ -115,6 +115,19 @@ def test_submatrix_rejects_bad_input():
         submatrix(u, [1, 2], [2, 1])  # not sorted
 
 
+@pytest.mark.parametrize(
+    "rows, ports", [([1.5, 2], [1, 2]), ([1, 2], [1, 2.5]), (["1"], [1]), ([1], [[1]])]
+)
+def test_submatrix_rejects_non_integer_indices(rows, ports):
+    with pytest.raises(ValueError):
+        submatrix(haar_unitary(3, seed=4), rows, ports)
+
+
+def test_submatrix_accepts_integer_valued_floats():
+    u = haar_unitary(3, seed=4)
+    assert np.array_equal(submatrix(u, [1.0, 3.0], [2.0, 2.0]), submatrix(u, [1, 3], [2, 2]))
+
+
 def test_unitarity_defect_identity():
     assert unitarity_defect(np.eye(3)) == 0.0
 
@@ -150,6 +163,12 @@ def test_permutation_unitary_routing():
     assert p.matrix[0, 2] == 1.0
     with pytest.raises(ValueError):
         permutation_unitary([1, 1, 2])
+
+
+@pytest.mark.parametrize("targets", [[1.5, 2], ["2", "1"], [[1, 2]]])
+def test_permutation_unitary_rejects_non_integer_targets(targets):
+    with pytest.raises(ValueError):
+        permutation_unitary(targets)
 
 
 def test_json_round_trip(tmp_path):

@@ -166,12 +166,17 @@ def test_expanded_matrix_transpose_symmetry():
 
 def test_repeated_gray_step_counter():
     rng = np.random.default_rng(11)
-    for pattern in [(4,), (1, 1, 1, 1), (2, 1), (3, 2, 2), (2, 2, 2, 1)]:
+    for pattern in [
+        (4,), (1, 1, 1, 1), (2, 1), (3, 2, 2), (2, 2, 2, 1),
+        (3,), (2, 2), (3, 1, 1), (4, 2, 1), (1,) * 6,
+    ]:
         n = sum(pattern)
         block = random_complex(rng, (n, len(pattern)))
         _, steps = repeated_column_expansion(block, pattern)
         factors = [m + 1 for m in pattern]
         assert steps == math.prod(factors) // min(factors) - 1
+        # the measured count is the one the cost model charges N row products for
+        assert n * (steps + 1) == cost_estimate(pattern).op_units
 
 
 def test_repeated_rejects_bad_shapes():

@@ -64,6 +64,19 @@ def test_pmf_rejects_bad_counts():
         occupied_ports_pmf(6, 5)
 
 
+@pytest.mark.parametrize("n_bosons, n_ports", [(2.5, 4), (2, 4.5), (math.nan, 4), ("2", 4)])
+def test_pmf_rejects_non_integer_counts(n_bosons, n_ports):
+    with pytest.raises(ValueError, match="integers only"):
+        occupied_ports_pmf(n_bosons, n_ports)
+
+
+def test_pmf_accepts_integer_valued_counts():
+    reference = occupied_ports_pmf(3, 5)
+    for dist in (occupied_ports_pmf(3.0, 5.0), occupied_ports_pmf(np.int64(3), np.int16(5))):
+        assert (dist.n_bosons, dist.n_ports, dist.exact) == (3, 5, reference.exact)
+        assert np.array_equal(dist.envelope, reference.envelope)
+
+
 def test_mode_sits_at_the_density_peak():
     for n_bosons, m_ports in [(20, 40), (20, 80), (50, 100), (50, 200)]:
         dist = occupied_ports_pmf(n_bosons, m_ports)
@@ -174,12 +187,24 @@ def test_tail_half_width_scales_inverse_sqrt():
         tail_half_width(10, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("rho", [math.nan, 0.0, -0.5])
+def test_tail_half_width_rejects_non_positive_rho(rho):
+    with pytest.raises(ValueError, match="rho must be positive"):
+        tail_half_width(4, rho, 0.1)
+
+
 # ------------------------------------------------------------------- bunching
 
 
 def test_max_occupation_cdf_limits():
     assert max_occupation_cdf(20, 40, 500.0) == pytest.approx(1.0, abs=1e-12)
     assert max_occupation_cdf(16, 16, 0) == pytest.approx(0.5**16, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [math.nan, -1.0])
+def test_max_occupation_cdf_rejects_bad_levels(m):
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        max_occupation_cdf(4, 8, m)
 
 
 def test_bunching_cutoff_example():

@@ -262,6 +262,19 @@ def test_weights_reject_overlong_prefix():
         conditional_weights(u, (1, 1, 2), (1,))  # not a permutation
 
 
+@pytest.mark.parametrize("prefix", [[1.5], ["1"], [[1]], [np.nan]])
+def test_weights_reject_non_integer_prefix(prefix):
+    with pytest.raises(ValueError):
+        conditional_weights(haar_unitary(3, seed=1), [1, 2, 3], prefix)
+
+
+def test_weights_accept_integer_valued_float_prefix():
+    u = haar_unitary(3, seed=1)
+    assert np.array_equal(
+        conditional_weights(u, [1, 2, 3], [1.0, 3.0]), conditional_weights(u, [1, 2, 3], [1, 3])
+    )
+
+
 # ----------------------------------------------------------------- sampling
 
 
@@ -352,6 +365,30 @@ def test_impossible_boson_counts_fail_before_any_work():
             sample_batch(u, n, 0, 1)
         with pytest.raises(ValueError, match="n_bosons must be >= 1"):
             brute_force_distribution(u, n)
+
+
+@pytest.mark.parametrize("n", [2.5, np.nan, "2", None])
+def test_non_integer_boson_counts_fail_before_any_work(n):
+    u = haar_unitary(4, seed=1)
+    with pytest.raises(ValueError, match="integers only"):
+        draw_sample(u, n, seed=0)
+    with pytest.raises(ValueError, match="integers only"):
+        sample_batch(u, n, 2, 1)
+    with pytest.raises(ValueError, match="integers only"):
+        brute_force_distribution(u, n)
+
+
+def test_non_integer_batch_count_fails():
+    with pytest.raises(ValueError, match="count must hold integers only"):
+        sample_batch(haar_unitary(4, seed=1), 2, 1.5, 1)
+
+
+def test_integer_valued_counts_sample_like_ints():
+    u = haar_unitary(4, seed=1)
+    reference = sample_batch(u, 2, 3, 1)
+    assert sample_batch(u, 2.0, 3.0, 1) == reference
+    assert sample_batch(u, np.int64(2), np.int32(3), 1) == reference
+    assert draw_sample(u, 2.0, seed=5) == draw_sample(u, np.int8(2), seed=5) == draw_sample(u, 2, seed=5)
 
 
 def test_brute_force_refuses_large_enumerations():
