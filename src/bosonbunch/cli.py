@@ -7,11 +7,11 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
-import numpy as np
-
+from .errors import _check_count
 from .matrices import (
     haar_unitary,
     load_matrix,
@@ -43,14 +43,14 @@ def _complex_str(value: complex) -> str:
     return f"{value.real + 0.0:.12g}{value.imag + 0.0:+.12g}j"
 
 
-def _csv_field(value) -> str:
-    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+def _csv_row(record: dict) -> str:
+    fields = (" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in record.values())
+    return ",".join(fields)
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
-    return sys.stdout
+def _output(path):
+    """Context manager for the ``--out`` file, or for stdout when none is given."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_haar(args) -> int:
@@ -66,10 +66,6 @@ def cmd_permanent(args) -> int:
         if not args.multiplicities:
             raise ValueError("--multiplicities is required for method 'repeated'")
         mult = [int(tok) for tok in args.multiplicities.split(",")]
-        if sum(mult) != matrix.shape[0] or len(mult) != matrix.shape[1]:
-            raise ValueError(
-                f"multiplicities {mult} do not match a {matrix.shape[0]}x{matrix.shape[1]} column block"
-            )
         value, steps = repeated_column_expansion(matrix, mult)
         print(_complex_str(value))
         print(f"gray_steps: {steps}")
@@ -85,26 +81,18 @@ def cmd_permanent(args) -> int:
 
 def cmd_sample(args) -> int:
     u = load_unitary(args.unitary)
-    if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
     batch = sample_batch(u, args.bosons, args.count, args.seed)
-    out = _open_out(args)
-    try:
-        if args.format == "jsonl":
-            batch.write_jsonl(out)
-        elif args.format == "json":
-            doc = batch.header()
-            doc["samples"] = [batch.record(i) for i in range(len(batch.samples))]
-            json.dump(doc, out)
+    records = map(batch.record, range(len(batch.samples)))
+    with _output(args.out) as out:
+        if args.format == "json":
+            json.dump({**batch.header(), "samples": list(records)}, out)
             out.write("\n")
+        elif args.format == "jsonl":
+            out.write(json.dumps(batch.header()) + "\n")
+            out.writelines(json.dumps(record) + "\n" for record in records)
         else:  # csv
-            out.write("idx,ports,config,ops\n")
-            for i in range(len(batch.samples)):
-                fields = batch.record(i).values()
-                out.write(",".join(_csv_field(v) for v in fields) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            out.write(",".join(batch.RECORD_FIELDS) + "\n")
+            out.writelines(_csv_row(record) + "\n" for record in records)
     return 0
 
 
@@ -112,12 +100,8 @@ def cmd_dist(args) -> int:
     if args.plot_data and not args.out:
         raise ValueError("--plot-data needs --out to derive the figure file path")
     dist = occupied_ports_pmf(args.bosons, args.modes)
-    out = _open_out(args)
-    try:
+    with _output(args.out) as out:
         dist.write_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.plot_data:
         delta_minus, delta_plus = solve_tail_crossings(args.bosons / args.modes)
         scale = args.bosons / (1.0 + args.bosons / args.modes)
@@ -137,8 +121,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     u = load_unitary(args.unitary)
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    _check_count(args.samples, "--samples")
     exact = brute_force_distribution(u, args.bosons)
     batch = sample_batch(u, args.bosons, args.samples, args.seed)
     counts = empirical_counts(batch)

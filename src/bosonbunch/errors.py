@@ -1,5 +1,7 @@
 """Shared exception types and the input checks that raise them."""
 
+import operator
+
 import numpy as np
 
 
@@ -25,14 +27,24 @@ def _integer_entries(values, what: str) -> np.ndarray:
     raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
 
 
+def _check_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` as an int; ValueError before any work when it is not an
+    integer (2.5, NaN, the string "2", None) or lies below ``minimum``.
+    Numpy integers and integer-valued floats such as 2.0 pass."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        (count,) = _integer_entries([value], what).tolist()
+    if count < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {count}")
+    return count
+
+
 def _check_boson_count(n_bosons: int, n_ports: int) -> tuple[int, int]:
     """Reject counts that are not integers or lie outside 1 <= N <= M before
     any work starts; returns them as ints."""
-    n_bosons, n_ports = _integer_entries([n_bosons, n_ports], "n_bosons and n_ports").tolist()
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
-    if n_ports < 1:
-        raise ValueError(f"n_ports must be >= 1, got {n_ports}")
+    n_bosons = _check_count(n_bosons, "n_bosons")
+    n_ports = _check_count(n_ports, "n_ports")
     if n_bosons > n_ports:
         raise UnsupportedRegimeError(
             f"{n_bosons} bosons on {n_ports} ports: densities above one are not supported"

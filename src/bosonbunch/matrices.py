@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _integer_entries
+from .errors import _check_count, _integer_entries
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -87,8 +87,7 @@ def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
     sign ambiguity and makes the result exactly Haar distributed. The draw
     is deterministic for a fixed seed.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _check_count(dim, "dim")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre)
@@ -99,8 +98,7 @@ def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
 
 def identity_unitary(dim: int) -> UnitaryMatrix:
     """Identity interferometer, handy as a no-interference reference."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _check_count(dim, "dim")
     return UnitaryMatrix(matrix=np.eye(dim, dtype=np.complex128))
 
 

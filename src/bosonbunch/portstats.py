@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, _check_boson_count
+from .errors import UnsupportedRegimeError, _check_boson_count, _check_count
 
 RATIONAL_LIMIT = 400  # above this N + M, binomial doubles come from log-gamma
 BISECTION_ITERATIONS = 200
@@ -93,9 +93,10 @@ def _envelope_exact(n_bosons: int, n_ports: int, n: int) -> Fraction:
 
 def binomial_envelope(n_bosons: int, n_ports: int, n: int) -> float:
     """Binomial term C(M, n) x^n (1-x)^(M-n) at x = rho / (1 + rho)."""
-    if n_bosons < 1 or n_ports < 1:
-        raise ValueError("n_bosons and n_ports must be >= 1")
-    if not 0 <= n <= n_ports:
+    n_bosons = _check_count(n_bosons, "n_bosons")
+    n_ports = _check_count(n_ports, "n_ports")
+    n = _check_count(n, "n", minimum=0)
+    if n > n_ports:
         raise ValueError(f"n must lie in 0..{n_ports}, got {n}")
     if n_bosons + n_ports <= RATIONAL_LIMIT:
         return float(_envelope_exact(n_bosons, n_ports, n))
@@ -135,8 +136,8 @@ def occupied_ports_pmf(n_bosons: int, n_ports: int) -> PortDistribution:
 
 def mean_occupied_ports(n_bosons: int, n_ports: int) -> float:
     """Average occupied-port count MN / (M + N - 1)."""
-    if n_bosons < 1 or n_ports < 1:
-        raise ValueError("n_bosons and n_ports must be >= 1")
+    n_bosons = _check_count(n_bosons, "n_bosons")
+    n_ports = _check_count(n_ports, "n_ports")
     return float(Fraction(n_ports * n_bosons, n_ports + n_bosons - 1))
 
 
@@ -207,8 +208,7 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     """Half-width delta = 2 sqrt((1 + rho) / N * ln(2 / epsilon)) such that
     the occupied-port count stays within (1 +- delta) N / (1 + rho) except
     with probability epsilon."""
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
+    n_bosons = _check_count(n_bosons, "n_bosons")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not 0.0 < epsilon < 1.0:
@@ -219,8 +219,8 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
 def max_occupation_cdf(n_bosons: int, n_ports: int, m: float) -> float:
     """Approximate probability that no output port holds more than m bosons:
     [1 - (rho / (1 + rho))^(m+1)]^M."""
-    if n_bosons < 1 or n_ports < 1:
-        raise ValueError("n_bosons and n_ports must be >= 1")
+    n_bosons = _check_count(n_bosons, "n_bosons")
+    n_ports = _check_count(n_ports, "n_ports")
     if not m >= 0:
         raise ValueError(f"m must be >= 0, got {m}")
     rho = n_bosons / n_ports
@@ -230,8 +230,7 @@ def max_occupation_cdf(n_bosons: int, n_ports: int, m: float) -> float:
 def max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:
     """Occupation level m = ln(N / (rho epsilon)) / ln((1 + rho) / rho) that
     the largest port occupation stays under with probability 1 - epsilon."""
-    if n_bosons < 1:
-        raise ValueError(f"n_bosons must be >= 1, got {n_bosons}")
+    n_bosons = _check_count(n_bosons, "n_bosons")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must lie in (0, 1], got {rho}")
     if not 0.0 < epsilon < 1.0:

@@ -18,19 +18,19 @@ which works in chunks of that size; ``conditional_weights`` always uses it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import _check_boson_count, _integer_entries
+from .errors import _check_boson_count, _check_count, _integer_entries
 from .matrices import UnitaryMatrix, fingerprint
 from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _unit_roots
 
 BRUTE_FORCE_LIMIT = 100_000
+MIN_EXPECTED = 5.0
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -87,8 +87,7 @@ class SampleOps:
 
 def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniformly random ordering of 1..n; deterministic per generator state."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_count(n, "n")
     return tuple(int(p) + 1 for p in rng.permutation(n))
 
 
@@ -369,13 +368,6 @@ class SampleBatch:
     samples: tuple[PortSequence, ...]
     gray_steps: tuple[int, ...]
 
-    def configurations(self) -> np.ndarray:
-        """(count, M) array of collapsed occupation vectors."""
-        out = np.zeros((len(self.samples), self.n_ports), dtype=int)
-        for i, seq in enumerate(self.samples):
-            out[i] = seq.configuration(self.n_ports)
-        return out
-
     def header(self) -> dict:
         return {
             "unitary_sha256": self.unitary_sha256,
@@ -385,25 +377,14 @@ class SampleBatch:
             "count": len(self.samples),
         }
 
+    # the keys of record(), in the order every output format writes them
+    RECORD_FIELDS = ("idx", "ports", "config", "ops")
+
     def record(self, i: int) -> dict:
         """The output record of sample ``i``, shared by every output format."""
         seq = self.samples[i]
-        return {
-            "idx": i,
-            "ports": list(seq.ports),
-            "config": seq.configuration(self.n_ports).tolist(),
-            "ops": self.gray_steps[i],
-        }
-
-    def jsonl_lines(self) -> Iterator[str]:
-        yield json.dumps(self.header())
-        for i in range(len(self.samples)):
-            yield json.dumps(self.record(i))
-
-    def write_jsonl(self, fp) -> None:
-        for line in self.jsonl_lines():
-            fp.write(line)
-            fp.write("\n")
+        values = (i, list(seq.ports), seq.configuration(self.n_ports).tolist(), self.gray_steps[i])
+        return dict(zip(self.RECORD_FIELDS, values))
 
 
 def sample_batch(
@@ -412,9 +393,8 @@ def sample_batch(
     """``count`` independent samples with per-sample seeds derived from
     (master_seed, index); the result is identical however it is scheduled."""
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
-    (count,) = _integer_entries([count], "count").tolist()
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    count = _check_count(count, "count", minimum=0)
+    master_seed = _check_count(master_seed, "master_seed", minimum=0)
     children = np.random.SeedSequence(master_seed).spawn(count)
     samples = []
     steps = []
@@ -483,12 +463,11 @@ def total_variation_distance(
 def chi_square_fit(
     counts: Mapping[tuple, int],
     probabilities: Mapping[tuple, float],
-    min_expected: float = 5.0,
 ) -> tuple[float, float]:
     """Goodness-of-fit statistic and p-value of observed counts against an
     exact distribution.
 
-    Bins with expected count below ``min_expected`` are pooled, the standard
+    Bins with expected count below ``MIN_EXPECTED`` are pooled, the standard
     validity fix for sparse cells. Any observation outside the support (or
     in a zero-probability bin) is an immediate failure with p = 0.
     """
@@ -509,7 +488,7 @@ def chi_square_fit(
             if observed:
                 return math.inf, 0.0
             continue
-        if expected < min_expected:
+        if expected < MIN_EXPECTED:
             pooled_obs += observed
             pooled_exp += expected
         else:

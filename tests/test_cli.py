@@ -221,14 +221,35 @@ def test_verify_rejects_more_bosons_than_ports(four_port_path, capsys):
     assert "5 bosons on 4 ports" in capsys.readouterr().err
 
 
-def test_sample_output_digest_is_pinned(tmp_path):
+SAMPLE_DIGESTS = {
+    ("jsonl", 100): "f2b6809680bfc392ea0a831d8ea9d979946f3b4fbc83fc1caabe6834493e4715",
+    ("jsonl", 0): "8b1a2675c1b3c7fa15683937ba8c3eeec5cc37ef1e907b3fd60c16c36e5d08cf",
+    ("json", 100): "55ac5c5dfcfad9aea2343395863c88a45fad9135d82ac462e0b705e9463a9352",
+    ("json", 0): "18e6e5673b9c22e59a7fa8d1ab81c2cb3209345b58bff5a48d6a98aabfddb345",
+    ("csv", 100): "89406b8733f422708221b2b98c8d9bd8ae599457a49a6256da1f1580ccad8d76",
+    ("csv", 0): "e335e7fd99a0e94704d8f0de7cf0b973e88d2fa80c00cb7056b3f20e4edf5a7b",
+}
+
+
+@pytest.mark.parametrize("fmt, count", SAMPLE_DIGESTS)
+def test_sample_output_digest_is_pinned(tmp_path, fmt, count):
     # any reordering of the floating-point work that flips a single pick changes these bytes
-    path, out = tmp_path / "u12.json", tmp_path / "s.jsonl"
+    path, out = tmp_path / "u12.json", tmp_path / f"s.{fmt}"
     save_matrix(path, bosonbunch.haar_unitary(12, seed=2024))
-    args = ["sample", "--unitary", str(path), "-n", "12", "--count", "100", "--seed", "77"]
-    assert main(args + ["--out", str(out)]) == 0
+    args = ["sample", "--unitary", str(path), "-n", "12", "--count", str(count), "--seed", "77"]
+    assert main(args + ["--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "f2b6809680bfc392ea0a831d8ea9d979946f3b4fbc83fc1caabe6834493e4715"
+    assert digest == SAMPLE_DIGESTS[fmt, count]
+
+
+def test_sample_rejects_negative_count_without_output(four_port_path, tmp_path, capsys):
+    out = tmp_path / "s.jsonl"
+    args = ["sample", "--unitary", four_port_path, "-n", "2", "--count", "-1", "--seed", "1"]
+    assert main(args + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count" in captured.err
+    assert not out.exists()
 
 
 def test_dist_small_table(capsys):
@@ -262,6 +283,17 @@ def test_dist_plot_data_writes_figure_series(tmp_path):
     assert fig_lines[0] == "n,P_exact,P,B,region"
     regions = [line.rsplit(",", 1)[1] for line in fig_lines[1:]]
     assert "left-tail" in regions and "core" in regions and "right-tail" in regions
+
+
+def test_dist_plot_data_output_is_pinned(tmp_path):
+    # both files byte for byte: the table and the figure series with its regions
+    out = tmp_path / "dist.csv"
+    assert main(["dist", "-n", "50", "-m", "100", "--out", str(out), "--plot-data"]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "dist.csv.fig.csv")]
+    assert digests == [
+        "f69c1eccfb6a89e6151eeaa04bf7fd97356bb6d427291cd35fc0efdacfb7f954",
+        "04067916f08e016d460d37a428186626ba0d689b032509ca690ea7c81e6a17c6",
+    ]
 
 
 def test_dist_plot_data_without_out_writes_nothing(capsys):

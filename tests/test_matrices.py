@@ -49,6 +49,19 @@ def test_haar_rejects_zero_dim():
         haar_unitary(0, seed=1)
 
 
+@pytest.mark.parametrize("make", [haar_unitary, identity_unitary])
+@pytest.mark.parametrize("dim", [2.5, float("nan"), "2", None])
+def test_unitaries_reject_non_integer_dim(make, dim):
+    with pytest.raises(ValueError, match="dim must hold integers only"):
+        make(dim)
+
+
+def test_integer_valued_dim_builds_the_same_unitary():
+    for dim in (3.0, np.int64(3), np.int8(3)):
+        assert np.array_equal(haar_unitary(dim, seed=4).matrix, haar_unitary(3, seed=4).matrix)
+        assert np.array_equal(identity_unitary(dim).matrix, identity_unitary(3).matrix)
+
+
 def test_haar_first_entry_second_moment():
     # first column of a Haar unitary is uniform on the sphere, so
     # E|U_11|^2 = 1/M with variance (M-1)/(M^2 (M+1))

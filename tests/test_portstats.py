@@ -70,6 +70,37 @@ def test_pmf_rejects_non_integer_counts(n_bosons, n_ports):
         occupied_ports_pmf(n_bosons, n_ports)
 
 
+COUNTED = {
+    "envelope-N": lambda c: binomial_envelope(c, 4, 1),
+    "envelope-M": lambda c: binomial_envelope(1, c, 1),
+    "envelope-n": lambda c: binomial_envelope(1, 4, c),
+    "mean-N": lambda c: mean_occupied_ports(c, 4),
+    "mean-M": lambda c: mean_occupied_ports(2, c),
+    "half_width-N": lambda c: tail_half_width(c, 0.5, 0.1),
+    "cdf-N": lambda c: max_occupation_cdf(c, 4, 1),
+    "cdf-M": lambda c: max_occupation_cdf(2, c, 1),
+    "cutoff-N": lambda c: max_bunching_cutoff(c, 0.5, 0.1),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan, "2", None])
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+def test_counts_must_be_integers(call, count):
+    with pytest.raises(ValueError, match="integers only"):
+        call(count)
+
+
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+def test_integer_valued_counts_give_int_results(call):
+    assert call(3.0) == call(np.int64(3)) == call(3)
+
+
+def test_count_checks_leave_more_bosons_than_ports_allowed():
+    assert binomial_envelope(6, 4, 2) > 0.0
+    assert mean_occupied_ports(6, 4) == pytest.approx(24 / 9)
+    assert 0.0 < max_occupation_cdf(6, 4, 3) < 1.0
+
+
 def test_pmf_accepts_integer_valued_counts():
     reference = occupied_ports_pmf(3, 5)
     for dist in (occupied_ports_pmf(3.0, 5.0), occupied_ports_pmf(np.int64(3), np.int16(5))):

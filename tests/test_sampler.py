@@ -43,6 +43,18 @@ def test_permutation_n1_is_identity():
     assert sample_permutation(1, rng) == (1,)
 
 
+@pytest.mark.parametrize("n", [2.5, np.nan, "2", None, 0])
+def test_permutation_rejects_bad_lengths(n):
+    with pytest.raises(ValueError, match="^n must"):
+        sample_permutation(n, np.random.default_rng(0))
+
+
+def test_permutation_integer_valued_length_draws_like_int():
+    reference = sample_permutation(5, np.random.default_rng(3))
+    assert sample_permutation(5.0, np.random.default_rng(3)) == reference
+    assert sample_permutation(np.int16(5), np.random.default_rng(3)) == reference
+
+
 def test_permutation_reproducible_per_seed():
     a = sample_permutation(6, np.random.default_rng(5))
     b = sample_permutation(6, np.random.default_rng(5))
@@ -383,11 +395,19 @@ def test_non_integer_batch_count_fails():
         sample_batch(haar_unitary(4, seed=1), 2, 1.5, 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.nan, "2", None, -1])
+def test_batch_rejects_bad_master_seeds(seed):
+    with pytest.raises(ValueError, match="^master_seed must"):
+        sample_batch(haar_unitary(4, seed=1), 2, 1, seed)
+
+
 def test_integer_valued_counts_sample_like_ints():
     u = haar_unitary(4, seed=1)
     reference = sample_batch(u, 2, 3, 1)
     assert sample_batch(u, 2.0, 3.0, 1) == reference
     assert sample_batch(u, np.int64(2), np.int32(3), 1) == reference
+    assert sample_batch(u, 2, 3, 1.0) == sample_batch(u, 2, 3, np.uint8(1)) == reference
+    assert sample_batch(u, 2, 1, 2**70).master_seed == 2**70  # past int64, as SeedSequence allows
     assert draw_sample(u, 2.0, seed=5) == draw_sample(u, np.int8(2), seed=5) == draw_sample(u, 2, seed=5)
 
 
@@ -415,19 +435,20 @@ def test_batch_empty():
     u = haar_unitary(4, seed=41)
     batch = sample_batch(u, 2, 0, master_seed=3)
     assert batch.samples == ()
-    lines = list(batch.jsonl_lines())
-    assert len(lines) == 1  # header only
+    assert batch.header()["count"] == 0  # header only
+    with pytest.raises(IndexError):
+        batch.record(0)
 
 
 def test_batch_jsonl_format():
     batch = sample_batch(BEAMSPLITTER, 2, 4, master_seed=9)
-    lines = list(batch.jsonl_lines())
-    header = json.loads(lines[0])
+    header = json.loads(json.dumps(batch.header()))
     assert header["n_bosons"] == 2 and header["n_ports"] == 2
     assert header["master_seed"] == 9 and header["count"] == 4
     assert len(header["unitary_sha256"]) == 64
-    for i, line in enumerate(lines[1:]):
-        doc = json.loads(line)
+    for i in range(header["count"]):
+        doc = json.loads(json.dumps(batch.record(i)))
+        assert tuple(doc) == batch.RECORD_FIELDS
         assert doc["idx"] == i
         assert len(doc["ports"]) == 2
         assert sum(doc["config"]) == 2
