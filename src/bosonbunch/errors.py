@@ -15,16 +15,17 @@ class UnsupportedRegimeError(ValueError):
 
 def _integer_entries(values, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array; ValueError for any entry whose value
-    is not an integer (1.5, NaN, the string "1"). Integer-valued floats such
-    as 2.0 are accepted."""
+    is not an integer (1.5, NaN, the string "1") or lies outside the int64
+    range (2**64 - 1, 1e20). Integer-valued floats such as 2.0 are accepted."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence, got shape {a.shape}")
-    if a.dtype.kind in "biu":
-        return a.astype(np.int64, copy=False)
-    if a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all():
-        return a.astype(np.int64)
-    raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
+    kind = a.dtype.kind
+    if not (kind in "biu" or kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all()):
+        raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
+    if kind in "uf" and a.size and not (-(2**63) <= a.min() and a.max() < 2**63):
+        raise ValueError(f"{what} must lie in the int64 range, got {a.tolist()!r}")
+    return a.astype(np.int64, copy=False)
 
 
 def _check_count(value, what: str, minimum: int = 1) -> int:

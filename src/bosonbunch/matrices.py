@@ -85,9 +85,11 @@ def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
     QR-factorizes a matrix of independent standard complex Gaussians and
     folds the phases of the R diagonal back into Q, which removes the QR
     sign ambiguity and makes the result exactly Haar distributed. The draw
-    is deterministic for a fixed seed.
+    is deterministic for a fixed seed, a non-negative integer.
     """
     dim = _check_count(dim, "dim")
+    if seed is not None:
+        seed = _check_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre)

@@ -5,15 +5,19 @@ next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
 ports, and all K of them come out of one roots-of-unity expansion over the
-distinct prefix ports. A small state table takes every leave-one-out product
-in one masked reduction over K copies of the table; a large one takes
-exclusive prefix and suffix products over its rows.
+distinct prefix ports. A table of at most ``MASKED_LIMIT`` entries (K rows
+times states) takes every leave-one-out product in one masked reduction over
+K copies of itself, a larger one exclusive prefix and suffix products over
+its rows. The carried table's weights (below) are squared unscaled; a step
+whose total is not a positive finite number is taken again on accumulators
+divided by their largest modulus.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows and changes it by a single broadcast after each pick
 instead of expanding the prefix afresh. Once the table would pass
 ``INNER_STATES`` states, the chain finishes on the from-scratch expansion,
 which works in chunks of that size; ``conditional_weights`` always uses it.
+A draw takes the row permutation from its generator, then N uniforms at once.
 """
 
 from __future__ import annotations
@@ -91,12 +95,12 @@ def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(int(p) + 1 for p in rng.permutation(n))
 
 
-# Largest k * k * S (rows squared times states) that _leave_one_out reduces in
-# one masked product. A (k, S) sweep on a 2-core x86 host, masked over loop
-# time: 0.37-0.85 at k * k * S = 6,912-9,600 for k = 2..16; the loop wins
-# first at small k, from 16,384 at k = 4 (1.19) and from about 25,000 at
-# k = 8..12 (1.02-1.18). At 8,192 the masked temporary is 128 KiB.
-MASKED_LIMIT = 8192
+# Largest table (k rows times S states) that _leave_one_out reduces in one
+# masked product. In two (k, S) sweeps on a 2-core x86 host the row loop won
+# from k * S = 1,500-2,000 at k = 2..6 and 2,000-3,000 at k = 8..16 (masked
+# over loop time 0.4-0.8 at 1,000, 1.4-4.2 at 8,192); whole chains at (N, M)
+# = (8, 16), (12, 12), (12, 24), (16, 16) ran within 2 % for limits 2,048-3,072.
+MASKED_LIMIT = 2560
 
 
 def _leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -105,13 +109,11 @@ def _leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     identity and beamsplitter rows).
 
     A chain step's table is small, so the fixed cost of each numpy call, not
-    the k * S products, sets its price. While k copies of ``t`` hold at most
-    ``MASKED_LIMIT`` entries, one masked product does k * k * S multiplies
-    in a handful of calls; a larger table takes the row loop, about
-    2 * k * S multiplies in 3 * k calls.
+    the products, sets its price. A table of at most ``MASKED_LIMIT`` entries
+    takes one masked product, k * k * S multiplies in a handful of calls; a
+    larger one takes the row loop, about 2 * k * S multiplies in 3 * k calls.
     """
-    k = t.shape[0]
-    if k * t.size <= MASKED_LIMIT:
+    if t.size <= MASKED_LIMIT:
         return _masked_leave_one_out(p, t)
     return _row_leave_one_out(p, t)
 
@@ -186,15 +188,15 @@ class _PrefixTable:
     step to step.
 
     ``mp`` holds the unitary's rows in chain order, so step k uses
-    ``mp[:k]``. ``t`` has shape (N, r_1, ..., r_d): the row sums of every
-    state for all N rows, one axis per summed port (listed in ``axes``,
-    newest first) whose variable runs over the r-th roots of unity,
-    r = count + 1. ``p`` has shape (r_1, ..., r_d) and holds each state's
-    variable product. The pinned port, a least-count one, sits in ``t`` with
-    its variable fixed at 1, so there are prod(c + 1) / min(c + 1) states.
-    Once that number would pass ``INNER_STATES`` the table is dropped (memory
-    stays at most N x INNER_STATES entries) and ``weights`` expands the
-    prefix afresh.
+    ``mp[:k]``. ``t`` has shape (N, S): the row sums of every state for all
+    N rows. A state gives each summed port (listed in ``axes``, newest
+    first, with its radix r = count + 1 in ``radices``) a variable over the
+    r-th roots of unity; the newest port's digit varies slowest. ``p`` has
+    shape (S,) and holds each state's variable product. The pinned port, a
+    least-count one, sits in ``t`` with its variable fixed at 1, so there
+    are S = prod(c + 1) / min(c + 1) states. Once that number would pass
+    ``INNER_STATES`` the table is dropped (memory stays at most N x
+    INNER_STATES entries) and ``weights`` expands the prefix afresh.
     """
 
     def __init__(self, mp: np.ndarray):
@@ -202,22 +204,40 @@ class _PrefixTable:
         self.counts: dict[int, int] = {}
         self.pin: int | None = None
         self.axes: list[int] = []
-        self.t = np.zeros(mp.shape[0], dtype=np.complex128)
-        self.p = np.ones((), dtype=np.complex128)
+        self.radices: list[int] = []
+        self.t = np.zeros((mp.shape[0], 1), dtype=np.complex128)
+        self.p = np.ones(1, dtype=np.complex128)
 
     def accumulators(self, k: int) -> tuple[np.ndarray, int]:
         """Leave-one-out accumulators of rows ``mp[:k]`` and the step count,
         as ``_subpermanent_accumulators`` gives them up to a shared factor."""
-        return _leave_one_out(self.p.ravel(), self.t[:k].reshape(k, -1)), self.p.size - 1
+        return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
 
     def weights(self, k: int) -> tuple[np.ndarray, int]:
-        """Unnormalized weights of the k-th port and the step count."""
+        """Unnormalized weights of the k-th port and the step count. A row
+        sum of unitary rows is at most N in modulus, so below ``GRAY_LIMIT``
+        the carried table's weights need no rescale."""
+        if k == 1:
+            return np.abs(self.mp[0]) ** 2, 0
         if self.t is None:
             occupied = np.array(sorted(self.counts))
             counts = [self.counts[j] for j in occupied]
             return _weights_counted(self.mp, np.arange(k), occupied, counts)
         acc, steps = self.accumulators(k)
-        return _rescaled_weights(acc, self.mp[:k]), steps
+        return np.abs(acc @ self.mp[:k]) ** 2, steps
+
+    def cdf(self, k: int) -> tuple[np.ndarray, int]:
+        """Cumulative weights of the k-th port and the step count. A carried
+        table's step whose total is not a positive finite number (rows far
+        from unitary, where numpy also warns of the overflow) is taken again
+        on rescaled accumulators; a step raises only if its weights vanish."""
+        weights, steps = self.weights(k)
+        cdf = weights.cumsum()
+        if not 0.0 < cdf[-1] < math.inf and self.t is not None:
+            cdf = _rescaled_weights(self.accumulators(k)[0], self.mp[:k]).cumsum()
+        if not cdf[-1] > 0.0:
+            raise RuntimeError("conditional weights vanished; cannot continue the chain")
+        return cdf, steps
 
     def add(self, q: int) -> None:
         """Record one more boson at port ``q`` (0-based)."""
@@ -251,25 +271,28 @@ class _PrefixTable:
         if port in self.axes:
             i = self.axes.index(port)
             self.axes.pop(i)
-            self.t = self.t[(slice(None),) * (i + 1) + (0,)]
-            self.p = self.p[(slice(None),) * i + (0,)]
+            radix = self.radices.pop(i)
+            outer = math.prod(self.radices[:i])
+            self.t = self.t.reshape(len(self.t), outer, radix, -1)[:, :, 0].reshape(len(self.t), -1)
+            self.p = self.p.reshape(outer, radix, -1)[:, 0].ravel()
         else:
-            self.t = self.t + self.mp[:, port].reshape((-1,) + (1,) * (self.t.ndim - 1))
+            self.t = self.t + self.mp[:, port, None]
 
     def _pin(self, port: int) -> None:
         self._fix(port)
         self.pin = port
 
     def _spread(self, port: int, radix: int, held: bool) -> None:
-        """Sum ``port``'s variable over the ``radix``-th roots of unity on a
-        new first state axis, so that the broadcast runs along the existing
+        """Sum ``port``'s variable over the ``radix``-th roots of unity as the
+        new slowest digit, so that the broadcast runs along the existing
         states; ``held`` when ``t`` already holds its column once."""
         roots = _unit_roots(radix)
         shifts = roots - 1 if held else roots
-        shape = (-1, radix) + (1,) * (self.t.ndim - 1)
-        self.t = self.t[:, None] + np.multiply.outer(self.mp[:, port], shifts).reshape(shape)
-        self.p = np.multiply.outer(roots, self.p)
+        col = self.mp[:, port, None]
+        self.t = (self.t[:, None] + (col * shifts)[:, :, None]).reshape(len(col), -1)
+        self.p = (roots[:, None] * self.p).ravel()
         self.axes.insert(0, port)
+        self.radices.insert(0, radix)
 
 
 def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
@@ -302,24 +325,20 @@ def _chain_sample(
     m_ports = u.dim
     n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     pi = sample_permutation(n_bosons, rng)
+    uniforms = rng.random(n_bosons).tolist()
     table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
 
     ports: list[int] = []
     per_step: list[int] = []
     row_ops = 0
     weight_ops = 0
-    for k in range(1, n_bosons + 1):
-        weights, gray = table.weights(k)
+    for k, r in enumerate(uniforms, start=1):
+        cdf, gray = table.cdf(k)
         per_step.append(gray)
         row_ops += k * (gray + 1)
         weight_ops += m_ports * k
 
-        cdf = weights.cumsum()
-        total = cdf[-1]
-        if not total > 0.0:
-            raise RuntimeError("conditional weights vanished; cannot continue the chain")
-        pick = int(cdf.searchsorted(rng.random() * total, side="right"))
-        pick = min(pick, m_ports - 1)
+        pick = min(int(cdf.searchsorted(r * cdf[-1], side="right")), m_ports - 1)
         ports.append(pick + 1)
         if k < n_bosons:
             table.add(pick)

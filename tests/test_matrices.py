@@ -62,6 +62,20 @@ def test_integer_valued_dim_builds_the_same_unitary():
         assert np.array_equal(identity_unitary(dim).matrix, identity_unitary(3).matrix)
 
 
+@pytest.mark.parametrize("seed", [1.5, "a", -1])
+def test_haar_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="^seed must"):
+        haar_unitary(3, seed=seed)
+
+
+def test_integer_valued_seed_builds_the_same_unitary():
+    reference = haar_unitary(3, seed=2)
+    for seed in (2.0, np.int64(2)):
+        u = haar_unitary(3, seed=seed)
+        assert np.array_equal(u.matrix, reference.matrix)
+        assert u.seed == 2
+
+
 def test_haar_first_entry_second_moment():
     # first column of a Haar unitary is uniform on the sphere, so
     # E|U_11|^2 = 1/M with variance (M-1)/(M^2 (M+1))

@@ -14,6 +14,7 @@ from bosonbunch import (
     permanent_ryser,
     repeated_column_expansion,
 )
+from bosonbunch.errors import _integer_entries
 from helpers import compositions, expand_columns, partitions, random_complex, rel_err
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -211,6 +212,22 @@ def test_cost_estimate_rejects_empty():
         cost_estimate([0, 0, 0])
     with pytest.raises(ValueError):
         cost_estimate([2, -1])
+
+
+@pytest.mark.parametrize("values", [[2**64 - 1], [np.uint64(2**63)], [1e20], [-1e19], [-1, 2**63]])
+def test_integer_entries_reject_values_past_int64(values):
+    with pytest.raises(ValueError, match="^x must lie in the int64 range"):
+        _integer_entries(values, "x")
+
+
+def test_integer_entries_keep_the_int64_extremes():
+    assert _integer_entries([np.uint64(2**63 - 1)], "x").tolist() == [2**63 - 1]
+    assert _integer_entries([-(2.0**63)], "x").tolist() == [-(2**63)]
+
+
+def test_cost_estimate_rejects_occupations_past_int64():
+    with pytest.raises(ValueError, match="^occupations must lie in the int64 range"):
+        cost_estimate([2**64 - 1])
 
 
 # --------------------------------------------------------- output probability

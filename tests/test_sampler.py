@@ -28,6 +28,7 @@ from bosonbunch.sampler import (
     _leave_one_out,
     _masked_leave_one_out,
     _PrefixTable,
+    _rescaled_weights,
     _row_leave_one_out,
     _subpermanent_accumulators,
 )
@@ -148,8 +149,8 @@ def _expansion_table(block, counts):
 @pytest.mark.parametrize(
     "counts, masked",
     [
-        ([2] + [1] * 6, True),  # k = 9, 96 states: 7,776 masked entries
-        ([1] * 8, False),  # k = 9, 128 states: 10,368, past the bound
+        ([1] * 9, True),  # k = 10, 256 states: 2,560 entries, exactly the bound
+        ([3] + [1] * 7, False),  # k = 11, 256 states: 2,816 entries, past the bound
     ],
 )
 def test_leave_one_out_forms_agree_at_the_bound(counts, masked):
@@ -157,7 +158,7 @@ def test_leave_one_out_forms_agree_at_the_bound(counts, masked):
     rng = np.random.default_rng(k + len(counts))
     block = rng.standard_normal((k, len(counts))) + 1j * rng.standard_normal((k, len(counts)))
     p, t = _expansion_table(block, counts)
-    assert (k * t.size <= MASKED_LIMIT) == masked
+    assert (t.size <= MASKED_LIMIT) == masked
     by_mask, by_rows = _masked_leave_one_out(p, t), _row_leave_one_out(p, t)
     assert np.array_equal(_leave_one_out(p, t), by_mask if masked else by_rows)
     _assert_same_ratios(by_mask, by_rows, 1e-12)
@@ -166,15 +167,15 @@ def test_leave_one_out_forms_agree_at_the_bound(counts, masked):
     _assert_same_ratios(by_rows, reference, 1e-12)
 
 
-@pytest.mark.parametrize("states", [MASKED_LIMIT // 4, MASKED_LIMIT // 4 + 1])
+@pytest.mark.parametrize("states", [MASKED_LIMIT // 2, MASKED_LIMIT // 2 + 1])
 def test_leave_one_out_two_rows_around_the_bound(states):
     rng = np.random.default_rng(states)
     p = rng.standard_normal(states) + 1j * rng.standard_normal(states)
     t = rng.standard_normal((2, states)) + 1j * rng.standard_normal((2, states))
     reference = np.array([p @ t[1], p @ t[0]])
     by_mask, by_rows = _masked_leave_one_out(p, t), _row_leave_one_out(p, t)
-    # 2 * 2 * 2048 is exactly the bound, which still takes the masked form
-    assert np.array_equal(_leave_one_out(p, t), by_mask if 4 * states <= MASKED_LIMIT else by_rows)
+    # 2 rows of MASKED_LIMIT // 2 states are exactly the bound, which still takes the masked form
+    assert np.array_equal(_leave_one_out(p, t), by_mask if 2 * states <= MASKED_LIMIT else by_rows)
     _assert_same_ratios(by_mask, reference, 1e-12)
     _assert_same_ratios(by_rows, reference, 1e-12)
 
@@ -189,7 +190,7 @@ def test_leave_one_out_single_row_is_the_prefactor_sum(states):
         assert out[0] == pytest.approx(p.sum(), rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [5, 9])  # 200 masked entries; 10,368 on the row loop
+@pytest.mark.parametrize("k", [5, 9, 12])  # 80 and 1,152 masked entries; 12,288 on the row loop
 def test_leave_one_out_keeps_exactly_zero_row_sums(k):
     # identity rows: the last row meets no prefix port, so its row sum is exactly 0
     # in every state and only leaving that row out gives a nonzero subpermanent
@@ -201,6 +202,33 @@ def test_leave_one_out_keeps_exactly_zero_row_sums(k):
     for out in (_masked_leave_one_out(p, t), _row_leave_one_out(p, t)):
         assert np.all(out[:-1] == 0) and out[-1] != 0
         _assert_same_ratios(out, reference, 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_overflowing_step_takes_the_rescaled_weights(k):
+    # rows scaled by 1e100: the unscaled squared amplitudes of step k overflow
+    rng = np.random.default_rng(k)
+    mp = 1e100 * (rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5)))
+    table = _PrefixTable(mp)
+    for q in range(k - 1):
+        table.add(q)
+    with np.errstate(over="ignore"):
+        assert np.isinf(table.weights(k)[0].sum())
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        cdf, steps = table.cdf(k)
+    acc, _ = table.accumulators(k)
+    assert steps == 2 ** (k - 2) - 1
+    assert np.isfinite(cdf[-1]) and cdf[-1] > 0
+    assert np.array_equal(cdf, _rescaled_weights(acc, mp[:k]).cumsum())
+
+
+def test_step_with_all_weights_zero_raises():
+    # the second row is zero, so every candidate port of step 2 has weight exactly 0
+    table = _PrefixTable(np.array([[1, 0], [0, 0]], dtype=np.complex128))
+    table.add(0)
+    assert not table.weights(2)[0].any()
+    with pytest.raises(RuntimeError, match="conditional weights vanished"):
+        table.cdf(2)
 
 
 def _model_steps(counts):
@@ -312,6 +340,17 @@ def test_hong_ou_mandel_sampling():
 def test_sample_seed_reproducible():
     u = haar_unitary(5, seed=2)
     assert draw_sample(u, 3, seed=9) == draw_sample(u, 3, seed=9)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_draw_advances_a_generator_by_a_permutation_and_n_uniforms(n):
+    # callers that share one generator across draws rely on this stream
+    u = haar_unitary(12, seed=n)
+    g, twin = np.random.default_rng(31), np.random.default_rng(31)
+    draw_sample(u, n, rng=g)
+    twin.permutation(n)
+    twin.random(n)
+    assert g.bit_generator.state == twin.bit_generator.state
 
 
 def test_sample_rejects_too_many_bosons():
