@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -372,6 +373,19 @@ def test_sample_counted_counters_match_prefix_model():
         expected = int(np.prod(factors)) // min(factors) - 1 if factors else 0
         assert gray == expected, f"step {k}"
         occ[port - 1] += 1
+
+
+def test_paper_scale_chains_are_pinned():
+    # every one of these draws outgrows the carried table and finishes on
+    # the from-scratch expansion's outer loop
+    u = haar_unitary(60, seed=2026)
+    records = []
+    for s in range(10):
+        seq, ops = draw_sample_counted(u, 20, seed=s)
+        assert max(ops.per_step_gray) + 1 > INNER_STATES
+        records.append([list(seq.ports), list(seq.row_order), list(ops.per_step_gray)])
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "dca01673bd8f7c2706552053313a502d8ea45661f7fad75546a764cd47bd0419"
 
 
 def test_identity_unitary_has_no_interference():
