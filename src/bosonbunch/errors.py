@@ -16,11 +16,17 @@ class UnsupportedRegimeError(ValueError):
 def _integer_entries(values, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array; ValueError for any entry whose value
     is not an integer (1.5, NaN, the string "1") or lies outside the int64
-    range (2**64 - 1, 1e20). Integer-valued floats such as 2.0 are accepted."""
+    range (2**64 - 1, -2**63 - 1, 1e20). Integer-valued floats such as 2.0
+    are accepted."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence, got shape {a.shape}")
     kind = a.dtype.kind
+    # numpy keeps Python ints that fit neither int64 nor uint64 as objects
+    if kind == "O" and a.size and all(type(v) is int for v in a.tolist()):
+        if not all(-(2**63) <= v < 2**63 for v in a.tolist()):
+            raise ValueError(f"{what} must lie in the int64 range, got {a.tolist()!r}")
+        a, kind = a.astype(np.int64), "i"
     if not (kind in "biu" or kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all()):
         raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
     if kind in "uf" and a.size and not (-(2**63) <= a.min() and a.max() < 2**63):

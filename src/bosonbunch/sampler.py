@@ -92,7 +92,7 @@ class SampleOps:
 def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniformly random ordering of 1..n; deterministic per generator state."""
     n = _check_count(n, "n")
-    return tuple(int(p) + 1 for p in rng.permutation(n))
+    return tuple((rng.permutation(n) + 1).tolist())
 
 
 # Largest table (k rows times S states) that _leave_one_out reduces in one

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,14 @@ from bosonbunch import (
     repeated_column_expansion,
 )
 from bosonbunch.errors import _integer_entries
+from bosonbunch.permanent import (
+    INNER_STATES,
+    _expansion_sum,
+    _level_table,
+    _row_products,
+    _unit_roots,
+)
+from bosonbunch.sampler import _leave_one_out
 from helpers import compositions, expand_columns, partitions, random_complex, rel_err
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -180,6 +189,61 @@ def test_repeated_gray_step_counter():
         assert n * (steps + 1) == cost_estimate(pattern).op_units
 
 
+@pytest.mark.parametrize("states", [1, 7, 64, 1000])
+@pytest.mark.parametrize("radix", [2, 5, 17])
+def test_level_table_is_the_broadcast_sum_bit_for_bit(states, radix):
+    rng = np.random.default_rng(1000 * radix + states)
+    t = random_complex(rng, (9, states))
+    shifts = random_complex(rng, (9, 1)) * _unit_roots(radix)
+    want = (t[:, None, :] + shifts[:, :, None]).reshape(9, -1)
+    assert np.array_equal(_level_table(t, shifts), want)
+
+
+def _fresh_chunks(block, radices):
+    """The (p, t) chunks of the expansion with a least-radix column pinned,
+    each level a broadcast sum and each outer tuple a freshly allocated
+    shifted table: the reference the reused buffer must match bit for bit."""
+    fixed = radices.index(min(radices))
+    summed = sorted((j for j in range(len(radices)) if j != fixed), key=radices.__getitem__)
+    n_inner, size = 0, 1
+    while n_inner < len(summed) and size * radices[summed[n_inner]] <= INNER_STATES:
+        size *= radices[summed[n_inner]]
+        n_inner += 1
+    p, t = np.ones(1, dtype=complex), block[:, [fixed]].astype(complex)
+    for j in summed[:n_inner]:
+        roots = _unit_roots(radices[j])
+        t = (t[:, None, :] + np.multiply.outer(block[:, j], roots)[:, :, None]).reshape(len(t), -1)
+        p = np.multiply.outer(roots, p).ravel()
+    outer = summed[n_inner:]
+    cols = block[:, outer]
+    return [
+        (p * math.prod(xs), t + (cols @ np.array(xs))[:, None])
+        for xs in itertools.product(*(_unit_roots(radices[j]) for j in outer))
+    ]
+
+
+@pytest.mark.parametrize("term", [_row_products, _leave_one_out])
+def test_outer_tuples_refill_one_buffer_bit_for_bit(term):
+    # pinned 2, then 2**12 inner states and outer radices 2 and 3: 6 tuples
+    radices = [2] * 14 + [3]
+    rng = np.random.default_rng(17)
+    block = random_complex(rng, (sum(radices) - len(radices), len(radices)))
+    seen = []
+
+    def record(p, t):
+        seen.append((p.copy(), t.copy()))
+        return term(p, t)
+
+    total, states = _expansion_sum(block, radices, True, record)
+    chunks = _fresh_chunks(block, radices)
+    assert states == 2**13 * 3 > INNER_STATES and len(chunks) == 6
+    assert len(seen) == len(chunks)
+    for (p, t), (p_ref, t_ref) in zip(seen, chunks):
+        assert np.array_equal(p, p_ref) and np.array_equal(t, t_ref)
+    want = sum(term(p, t) for p, t in chunks)
+    assert np.asarray(total).tobytes() == np.asarray(want).tobytes()
+
+
 def test_repeated_rejects_bad_shapes():
     with pytest.raises(ValueError):
         permanent_repeated(np.ones((3, 2)), [])
@@ -220,6 +284,23 @@ def test_integer_entries_reject_values_past_int64(values):
         _integer_entries(values, "x")
 
 
+@pytest.mark.parametrize("values", [[2**64], [-(2**63) - 1], [10**30, 1]])
+def test_integer_entries_name_python_ints_past_int64(values):
+    with pytest.raises(ValueError, match="^x must lie in the int64 range"):
+        _integer_entries(values, "x")
+
+
+@pytest.mark.parametrize("values", [[2**64, 1.5], ["1"], [True, 2**64], np.array([], dtype=object)])
+def test_integer_entries_keep_the_integers_only_message(values):
+    with pytest.raises(ValueError, match="^x must hold integers only"):
+        _integer_entries(values, "x")
+
+
+def test_integer_entries_accept_python_ints_held_as_objects():
+    got = _integer_entries(np.array([2**63 - 1, -(2**63)], dtype=object), "x")
+    assert got.dtype == np.int64 and got.tolist() == [2**63 - 1, -(2**63)]
+
+
 def test_integer_entries_keep_the_int64_extremes():
     assert _integer_entries([np.uint64(2**63 - 1)], "x").tolist() == [2**63 - 1]
     assert _integer_entries([-(2.0**63)], "x").tolist() == [-(2**63)]
@@ -228,6 +309,11 @@ def test_integer_entries_keep_the_int64_extremes():
 def test_cost_estimate_rejects_occupations_past_int64():
     with pytest.raises(ValueError, match="^occupations must lie in the int64 range"):
         cost_estimate([2**64 - 1])
+
+
+def test_cost_estimate_names_python_ints_past_int64():
+    with pytest.raises(ValueError, match="^occupations must lie in the int64 range"):
+        cost_estimate([2**64])
 
 
 # --------------------------------------------------------- output probability
