@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import _check_count
 from .matrices import UnitaryMatrix, haar_unitary
 from .permanent import cost_estimate
 from .portstats import probability_cost_bounds, sampling_cost_bounds
@@ -94,6 +95,8 @@ def scaling_report(
     Infeasible points are refused up front, quoting the cost estimate of the
     worst (collision-free) configuration.
     """
+    samples_per_point = _check_count(samples_per_point, "samples_per_point", minimum=0)
+    seed = _check_count(seed, "seed", minimum=0)
     rows: list[dict] = []
     for idx, n_bosons in enumerate(n_values):
         n_ports = int(m_rule(n_bosons))

@@ -8,15 +8,16 @@ ports, and all K of them come out of one roots-of-unity expansion over the
 distinct prefix ports. A table of at most ``MASKED_LIMIT`` entries (K rows
 times states) takes every leave-one-out product in one masked reduction over
 K copies of itself, a larger one exclusive prefix and suffix products over
-its rows. The carried table's weights (below) are squared unscaled; a step
-whose total is not a positive finite number is taken again on accumulators
-divided by their largest modulus.
+its rows. Every step, on a carried table or a fresh expansion, squares its
+weights unscaled; a step whose total is not a positive finite number is
+taken again on accumulators divided by their largest modulus.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows and changes it by a single broadcast after each pick
 instead of expanding the prefix afresh. Once the table would pass
 ``INNER_STATES`` states, the chain finishes on the from-scratch expansion,
-which works in chunks of that size; ``conditional_weights`` always uses it.
+which works in chunks of that size; ``conditional_weights`` always uses it,
+through the same step code with no table carried.
 A draw takes the row permutation from its generator, then N uniforms at once.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _integer_entries
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _unit_roots
+from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _unit_roots, output_probability
 
 BRUTE_FORCE_LIMIT = 100_000
 MIN_EXPECTED = 5.0
@@ -144,45 +145,6 @@ def _row_leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subpermanent_accumulators(
-    block: np.ndarray, counts: Sequence[int]
-) -> tuple[np.ndarray, int]:
-    """Leave-one-row-out permanents of ``block``'s repeated-column multiset,
-    up to one constant shared by every row.
-
-    ``block`` is K x s (candidate rows by distinct prefix ports) and
-    ``counts`` the port multiplicities summing to K - 1. Returns the K
-    accumulators and the Gray-step count prod(c + 1) / min(c + 1) - 1 of
-    the expansion. The shared constant (multiplicity factorials over the
-    number of states) is dropped because callers only need ratios.
-    """
-    acc, states = _expansion_sum(block, [int(c) + 1 for c in counts], True, _leave_one_out)
-    return acc, states - 1
-
-
-def _weights_counted(
-    mat: np.ndarray, rows: np.ndarray, occupied: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Unnormalized next-port weights for the rows ``rows`` (0-based) given
-    the prefix described by occupied ports (0-based) and their counts."""
-    if rows.shape[0] == 1:
-        w = np.abs(mat[rows[0]]) ** 2
-        return w, 0
-    block = mat[np.ix_(rows, occupied)]
-    acc, steps = _subpermanent_accumulators(block, counts)
-    return _rescaled_weights(acc, mat[rows]), steps
-
-
-def _rescaled_weights(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared amplitudes of the candidate ports from the leave-one-out
-    accumulators of ``rows``, rescaled first so that large prefixes cannot
-    overflow."""
-    scale = float(np.abs(acc).max())
-    if scale > 0.0:
-        acc = acc / scale
-    return np.abs(acc @ rows) ** 2
-
-
 class _PrefixTable:
     """The roots-of-unity expansion of a chain's prefix ports, carried from
     step to step.
@@ -196,7 +158,8 @@ class _PrefixTable:
     least-count one, sits in ``t`` with its variable fixed at 1, so there
     are S = prod(c + 1) / min(c + 1) states. Once that number would pass
     ``INNER_STATES`` the table is dropped (memory stays at most N x
-    INNER_STATES entries) and ``weights`` expands the prefix afresh.
+    INNER_STATES entries) and ``accumulators`` expands the prefix afresh;
+    ``t`` and ``p`` are then None and ``add`` only counts.
     """
 
     def __init__(self, mp: np.ndarray):
@@ -209,32 +172,38 @@ class _PrefixTable:
         self.p = np.ones(1, dtype=np.complex128)
 
     def accumulators(self, k: int) -> tuple[np.ndarray, int]:
-        """Leave-one-out accumulators of rows ``mp[:k]`` and the step count,
-        as ``_subpermanent_accumulators`` gives them up to a shared factor."""
-        return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
+        """Leave-one-out accumulators of rows ``mp[:k]``, up to one factor
+        shared by every row (multiplicity factorials over the number of
+        states), and the step count prod(c + 1) / min(c + 1) - 1. A dropped
+        table expands the prefix afresh."""
+        if self.t is not None:
+            return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
+        occupied = sorted(self.counts)
+        radices = [self.counts[j] + 1 for j in occupied]
+        acc, states = _expansion_sum(self.mp[:k, occupied], radices, True, _leave_one_out)
+        return acc, states - 1
 
     def weights(self, k: int) -> tuple[np.ndarray, int]:
-        """Unnormalized weights of the k-th port and the step count. A row
-        sum of unitary rows is at most N in modulus, so below ``GRAY_LIMIT``
-        the carried table's weights need no rescale."""
+        """Unnormalized weights of the k-th port, squared unscaled, and the
+        step count."""
         if k == 1:
             return np.abs(self.mp[0]) ** 2, 0
-        if self.t is None:
-            occupied = np.array(sorted(self.counts))
-            counts = [self.counts[j] for j in occupied]
-            return _weights_counted(self.mp, np.arange(k), occupied, counts)
         acc, steps = self.accumulators(k)
         return np.abs(acc @ self.mp[:k]) ** 2, steps
 
     def cdf(self, k: int) -> tuple[np.ndarray, int]:
-        """Cumulative weights of the k-th port and the step count. A carried
-        table's step whose total is not a positive finite number (rows far
-        from unitary, where numpy also warns of the overflow) is taken again
-        on rescaled accumulators; a step raises only if its weights vanish."""
+        """Cumulative weights of the k-th port and the step count. A step
+        whose total is not a positive finite number (rows far from unitary,
+        where numpy also warns of the overflow) is taken again on
+        accumulators divided by their largest modulus; a step raises only
+        if its weights vanish."""
         weights, steps = self.weights(k)
         cdf = weights.cumsum()
-        if not 0.0 < cdf[-1] < math.inf and self.t is not None:
-            cdf = _rescaled_weights(self.accumulators(k)[0], self.mp[:k]).cumsum()
+        if not 0.0 < cdf[-1] < math.inf:
+            acc, _ = self.accumulators(k)
+            scale = np.abs(acc).max()
+            if scale > 0.0:
+                cdf = (np.abs((acc / scale) @ self.mp[:k]) ** 2).cumsum()
         if not cdf[-1] > 0.0:
             raise RuntimeError("conditional weights vanished; cannot continue the chain")
         return cdf, steps
@@ -301,7 +270,8 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     ``pi`` is the input-row ordering (a permutation of 1..N) and ``prefix``
     the 1-based ports already sampled. Entry l-1 is proportional to the
     probability that the next port is l; a constant common to all candidates
-    is dropped, which is all the chain rule needs at a fixed step.
+    is dropped, which is all the chain rule needs at a fixed step. The
+    weights are a chain step's, squared unscaled from a fresh expansion.
     """
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
@@ -312,10 +282,13 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     ports = _integer_entries(prefix, "prefix")
     if ports.size and (ports.min() < 1 or ports.max() > m_ports):
         raise ValueError(f"prefix ports must lie in 1..{m_ports}")
-    rows = np.asarray(pi[: len(prefix) + 1], dtype=int) - 1
-    occ = np.bincount(ports, minlength=m_ports + 1)[1:]
-    occupied = np.flatnonzero(occ)
-    weights, _ = _weights_counted(u.matrix, rows, occupied, occ[occupied])
+    _check_boson_count(n, m_ports)
+    k = len(prefix) + 1
+    table = _PrefixTable(u.matrix[np.asarray(pi[:k], dtype=int) - 1])
+    table.t = table.p = None
+    for q in ports.tolist():
+        table.add(q - 1)
+    weights, _ = table.weights(k)
     return weights
 
 
@@ -348,10 +321,16 @@ def _chain_sample(
     return seq, ops
 
 
-def _resolve_rng(rng, seed):
+def _resolve_rng(rng, seed) -> tuple[np.random.Generator, int | None]:
+    """The generator of one draw and the seed it records. A seed is checked
+    like any count before any work; a generator and a seed together are
+    refused, since the draw could honour only one of them."""
+    if seed is None:
+        return (np.random.default_rng() if rng is None else rng), None
     if rng is not None:
-        return rng
-    return np.random.default_rng(np.random.SeedSequence(seed))
+        raise ValueError("pass either a generator or a seed, not both")
+    seed = _check_count(seed, "seed", minimum=0)
+    return np.random.default_rng(np.random.SeedSequence(seed)), seed
 
 
 def draw_sample(
@@ -362,8 +341,7 @@ def draw_sample(
 ) -> PortSequence:
     """One exact sample of the N output ports. Pass either a generator or a
     seed; with a fixed seed the sample is reproducible."""
-    seq, _ = _chain_sample(u, n_bosons, _resolve_rng(rng, seed), seed_note=seed)
-    return seq
+    return draw_sample_counted(u, n_bosons, rng, seed)[0]
 
 
 def draw_sample_counted(
@@ -373,7 +351,7 @@ def draw_sample_counted(
     seed: int | None = None,
 ) -> tuple[PortSequence, SampleOps]:
     """Like draw_sample, also returning the operation counters."""
-    return _chain_sample(u, n_bosons, _resolve_rng(rng, seed), seed_note=seed)
+    return _chain_sample(u, n_bosons, *_resolve_rng(rng, seed))
 
 
 @dataclass(frozen=True)
@@ -442,8 +420,6 @@ def brute_force_distribution(
     sampler is validated against, so it stays deliberately independent of
     the chain-rule machinery.
     """
-    from .permanent import output_probability
-
     m_ports = u.dim
     n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)

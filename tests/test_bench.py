@@ -29,6 +29,20 @@ def test_trace_sample_basics():
     assert ops.per_step_gray == (0, 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_trace_sample_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="^seed must"):
+        trace_sample(haar_unitary(5, seed=5), 2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.0, np.int64(2)])
+def test_trace_sample_integer_valued_seed_draws_like_int(seed):
+    u = haar_unitary(5, seed=5)
+    seq, ops = trace_sample(u, 3, seed=seed)
+    assert (seq, ops) == trace_sample(u, 3, seed=2)
+    assert seq.seed == 2
+
+
 def test_trace_sample_respects_realized_envelope():
     # the internal consistency check raises on violation, so surviving many
     # draws is the assertion; verify the envelope numbers directly as well
@@ -76,6 +90,20 @@ def test_bunching_speeds_up_sampling():
 
 def test_scaling_report_empty():
     assert scaling_report([], lambda n: n, 5, seed=1) == []
+
+
+@pytest.mark.parametrize("field", ["samples_per_point", "seed"])
+@pytest.mark.parametrize("value", [1.5, "2", -1])
+def test_scaling_report_rejects_bad_counts(field, value):
+    kwargs = {"samples_per_point": 2, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        scaling_report([4], lambda n: n, **kwargs)
+
+
+def test_scaling_report_zero_samples_gives_nan_rows():
+    (row,) = scaling_report([4], lambda n: n, 0, seed=1)
+    assert math.isnan(row["mean_log2_ops"]) and math.isnan(row["mean_gray_steps"])
+    assert scaling_report([4], lambda n: n, 2.0, seed=1.0) == scaling_report([4], lambda n: n, 2, seed=1)
 
 
 def test_scaling_report_columns_and_csv():

@@ -29,9 +29,7 @@ from bosonbunch.sampler import (
     _leave_one_out,
     _masked_leave_one_out,
     _PrefixTable,
-    _rescaled_weights,
     _row_leave_one_out,
-    _subpermanent_accumulators,
 )
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -122,13 +120,19 @@ def _per_row_expansion(block, counts):
     )
 
 
+def _fresh_accumulators(block, counts):
+    # leave-one-out accumulators of one from-scratch expansion, and its step count
+    acc, states = _expansion_sum(block, [int(c) + 1 for c in counts], True, _leave_one_out)
+    return acc, states - 1
+
+
 def test_leave_one_out_matches_per_row_expansion():
     # 6,561 summed states: more than one inner table, so outer shifts run
     counts = [2] * 8 + [1]
     k = sum(counts) + 1
     rng = np.random.default_rng(14)
     block = rng.standard_normal((k, len(counts))) + 1j * rng.standard_normal((k, len(counts)))
-    acc, steps = _subpermanent_accumulators(block, counts)
+    acc, steps = _fresh_accumulators(block, counts)
     assert steps == 3**8 - 1
     per_row = _per_row_expansion(block, counts)
     assert np.allclose(acc / acc[0], per_row / per_row[0], rtol=1e-10, atol=0)
@@ -142,7 +146,7 @@ def _assert_same_ratios(got, reference, rtol):
 
 
 def _expansion_table(block, counts):
-    # the (p, t) pair that _subpermanent_accumulators hands to _leave_one_out
+    # the (p, t) pair that _fresh_accumulators hands to _leave_one_out
     (p, t), _ = _expansion_sum(block, [c + 1 for c in counts], True, lambda p, t: (p, t))
     return p, t
 
@@ -220,7 +224,26 @@ def test_overflowing_step_takes_the_rescaled_weights(k):
     acc, _ = table.accumulators(k)
     assert steps == 2 ** (k - 2) - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
-    assert np.array_equal(cdf, _rescaled_weights(acc, mp[:k]).cumsum())
+    assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp[:k]) ** 2).cumsum())
+
+
+def test_dropped_table_step_that_overflows_is_retried():
+    # 14 distinct prefix ports: 8,192 states pass INNER_STATES, so step 15
+    # expands afresh, and rows scaled by 1e15 overflow its unscaled weights
+    rng = np.random.default_rng(15)
+    mp = 1e15 * (rng.standard_normal((15, 16)) + 1j * rng.standard_normal((15, 16)))
+    table = _PrefixTable(mp)
+    for q in range(14):
+        table.add(q)
+    assert table.t is None and 2**13 > INNER_STATES
+    with np.errstate(over="ignore"):
+        assert np.isinf(table.weights(15)[0].sum())
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        cdf, steps = table.cdf(15)
+    acc, _ = table.accumulators(15)
+    assert steps == 2**13 - 1
+    assert np.isfinite(cdf[-1]) and cdf[-1] > 0
+    assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum())
 
 
 def test_step_with_all_weights_zero_raises():
@@ -261,7 +284,7 @@ def test_carried_table_matches_fresh_expansion(script, pins):
         occupied = sorted(counts)
         if occupied:
             block = mp[np.ix_(range(k), occupied)]
-            reference, ref_steps = _subpermanent_accumulators(block, [counts[j] for j in occupied])
+            reference, ref_steps = _fresh_accumulators(block, [counts[j] for j in occupied])
             _assert_same_ratios(acc, reference, 1e-12)
             assert steps == ref_steps == _model_steps(counts)
         else:
@@ -309,6 +332,12 @@ def test_weights_reject_non_integer_prefix(prefix):
         conditional_weights(haar_unitary(3, seed=1), [1, 2, 3], prefix)
 
 
+@pytest.mark.parametrize("prefix", [(), (1, 2, 3)])
+def test_weights_reject_too_many_bosons_before_any_work(prefix):
+    with pytest.raises(UnsupportedRegimeError):
+        conditional_weights(haar_unitary(3, seed=1), (1, 2, 3, 4), prefix)
+
+
 def test_weights_accept_integer_valued_float_prefix():
     u = haar_unitary(3, seed=1)
     assert np.array_equal(
@@ -341,6 +370,29 @@ def test_hong_ou_mandel_sampling():
 def test_sample_seed_reproducible():
     u = haar_unitary(5, seed=2)
     assert draw_sample(u, 3, seed=9) == draw_sample(u, 3, seed=9)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", np.nan, -1])
+def test_sample_rejects_bad_seeds(seed):
+    u = haar_unitary(4, seed=1)
+    with pytest.raises(ValueError, match="^seed must"):
+        draw_sample(u, 2, seed=seed)
+    with pytest.raises(ValueError, match="^seed must"):
+        draw_sample_counted(u, 2, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.0, np.int64(2)])
+def test_integer_valued_seed_draws_like_int(seed):
+    u = haar_unitary(4, seed=1)
+    seq = draw_sample(u, 2, seed=seed)
+    assert seq == draw_sample(u, 2, seed=2)
+    assert seq.seed == 2 and type(seq.seed) is int
+
+
+def test_sample_refuses_a_generator_and_a_seed_together():
+    with pytest.raises(ValueError, match="not both"):
+        draw_sample(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5), seed=7)
+    assert draw_sample(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5)).seed is None
 
 
 @pytest.mark.parametrize("n", [1, 12])
