@@ -65,6 +65,8 @@ class UnitaryMatrix:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_count(self.seed, "seed", minimum=0))
         a = _as_complex_matrix(self.matrix).copy()
         defect = unitarity_defect(a)
         if not defect <= UNITARITY_TOLERANCE:
@@ -168,7 +170,7 @@ def save_matrix(path, matrix, seed: int | None = None) -> None:
         "im": a.imag.tolist(),
     }
     if seed is not None:
-        doc["seed"] = int(seed)
+        doc["seed"] = _check_count(seed, "seed", minimum=0)
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp)
         fp.write("\n")
@@ -176,18 +178,21 @@ def save_matrix(path, matrix, seed: int | None = None) -> None:
 
 def _parse_matrix_doc(doc) -> tuple[np.ndarray, int | None]:
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols, seed = doc["rows"], doc["cols"], doc.get("seed")
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc["im"], dtype=np.float64)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
+    rows, cols = _check_count(rows, "rows"), _check_count(cols, "cols")
+    if seed is not None:
+        seed = _check_count(seed, "seed", minimum=0)
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise ValueError(
             f"entry grids {re.shape}/{im.shape} disagree with declared shape ({rows}, {cols})"
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite")
-    return re + 1j * im, doc.get("seed")
+    return re + 1j * im, seed
 
 
 def load_matrix(path) -> np.ndarray:

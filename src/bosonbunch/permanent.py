@@ -129,6 +129,15 @@ def _unit_roots(order: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=None)
+def _root_steps(order: int) -> np.ndarray:
+    """``_unit_roots(order) - 1``: the shifts that move a variable held at 1
+    onto each root, cached because a chain takes them at every repeat."""
+    steps = _unit_roots(order) - 1
+    steps.flags.writeable = False
+    return steps
+
+
 def _level_table(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The (K, r * S) table whose i-th block of S states is the (K, S) table
     ``t`` plus column i of the (K, r) ``shifts``: one copy of ``t`` per root,

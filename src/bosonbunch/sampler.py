@@ -13,12 +13,14 @@ weights unscaled; a step whose total is not a positive finite number is
 taken again on accumulators divided by their largest modulus.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
-table for all N rows and changes it by a single broadcast after each pick
-instead of expanding the prefix afresh. Once the table would pass
-``INNER_STATES`` states, the chain finishes on the from-scratch expansion,
-which works in chunks of that size; ``conditional_weights`` always uses it,
-through the same step code with no table carried.
-A draw takes the row permutation from its generator, then N uniforms at once.
+table for all N rows, with one port's variable pinned at 1, and changes it by
+a single broadcast after each pick, a repeated port included. The pin stays
+while its count is the least, otherwise it moves to the new port, or else to
+the newest summed port with the least count. Past ``INNER_STATES`` states the
+chain finishes on the from-scratch expansion, which works in chunks of that
+size; ``conditional_weights`` always uses it, through the same step code with
+no table carried. A draw takes the row permutation from its generator (a
+``numpy.random.Generator``), then N uniforms at once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _integer_entries
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _unit_roots, output_probability
+from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots, output_probability
 
 BRUTE_FORCE_LIMIT = 100_000
 MIN_EXPECTED = 5.0
@@ -154,9 +156,12 @@ class _PrefixTable:
     N rows. A state gives each summed port (listed in ``axes``, newest
     first, with its radix r = count + 1 in ``radices``) a variable over the
     r-th roots of unity; the newest port's digit varies slowest. ``p`` has
-    shape (S,) and holds each state's variable product. The pinned port, a
-    least-count one, sits in ``t`` with its variable fixed at 1, so there
-    are S = prod(c + 1) / min(c + 1) states. Once that number would pass
+    shape (S,) and holds each state's variable product. The pinned port
+    sits in ``t`` with its variable fixed at 1, so there are S = prod(c + 1)
+    / min(c + 1) states. The pin stays while its count is the least,
+    otherwise it moves to the new port, or else to the newest summed port
+    with the least count. Each pick, a repeat included, costs one broadcast,
+    plus a column add when the pin moves to a new port. Once S would pass
     ``INNER_STATES`` the table is dropped (memory stays at most N x
     INNER_STATES entries) and ``accumulators`` expands the prefix afresh;
     ``t`` and ``p`` are then None and ``add`` only counts.
@@ -175,7 +180,9 @@ class _PrefixTable:
         """Leave-one-out accumulators of rows ``mp[:k]``, up to one factor
         shared by every row (multiplicity factorials over the number of
         states), and the step count prod(c + 1) / min(c + 1) - 1. A dropped
-        table expands the prefix afresh."""
+        table expands the prefix afresh; step 1 has the one accumulator 1."""
+        if k == 1:
+            return np.ones(1, dtype=np.complex128), 0
         if self.t is not None:
             return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
         occupied = sorted(self.counts)
@@ -186,30 +193,31 @@ class _PrefixTable:
     def weights(self, k: int) -> tuple[np.ndarray, int]:
         """Unnormalized weights of the k-th port, squared unscaled, and the
         step count."""
-        if k == 1:
-            return np.abs(self.mp[0]) ** 2, 0
         acc, steps = self.accumulators(k)
-        return np.abs(acc @ self.mp[:k]) ** 2, steps
+        return self._squared(acc), steps
 
     def cdf(self, k: int) -> tuple[np.ndarray, int]:
         """Cumulative weights of the k-th port and the step count. A step
         whose total is not a positive finite number (rows far from unitary,
-        where numpy also warns of the overflow) is taken again on
-        accumulators divided by their largest modulus; a step raises only
-        if its weights vanish."""
-        weights, steps = self.weights(k)
-        cdf = weights.cumsum()
+        where numpy also warns of the overflow) is taken again on its
+        accumulators divided by their largest modulus; a step raises only if
+        its weights vanish."""
+        acc, steps = self.accumulators(k)
+        cdf = self._squared(acc).cumsum()
         if not 0.0 < cdf[-1] < math.inf:
-            acc, _ = self.accumulators(k)
             scale = np.abs(acc).max()
             if scale > 0.0:
-                cdf = (np.abs((acc / scale) @ self.mp[:k]) ** 2).cumsum()
+                cdf = self._squared(acc / scale).cumsum()
         if not cdf[-1] > 0.0:
             raise RuntimeError("conditional weights vanished; cannot continue the chain")
         return cdf, steps
 
+    def _squared(self, acc: np.ndarray) -> np.ndarray:
+        return np.abs(acc @ self.mp[: len(acc)]) ** 2
+
     def add(self, q: int) -> None:
-        """Record one more boson at port ``q`` (0-based)."""
+        """Record one more boson at port ``q`` (0-based) and move the pin by
+        the rule above."""
         c = self.counts.get(q, 0)
         self.counts[q] = c + 1
         if self.t is None:
@@ -217,49 +225,38 @@ class _PrefixTable:
         if _pinned_states(self.counts.values()) > INNER_STATES:
             self.t = self.p = None
             return
-        pin = self.pin
+        pin, least = self.pin, min(self.counts.values())
         if pin is None:
-            self._pin(q)
-        elif q == pin:
-            # the pin stays unless another port still has its old count
-            other = next((j for j in self.axes if self.counts[j] == c), None)
-            if other is not None:
-                self._pin(other)
-                self._spread(pin, c + 2, held=True)
-        elif c == 0 and self.counts[pin] > 1:
-            self._pin(q)
-            self._spread(pin, self.counts[pin] + 1, held=True)
+            self.pin = q
+            self.t = self.t + self.mp[:, q, None]
+        elif self.counts[pin] == least:
+            if q != pin:
+                self._spread(q, held=c > 0, fix=q if c else None)
         else:
-            if c:
-                self._fix(q)
-            self._spread(q, c + 2, held=c > 0)
+            self.pin = q if c == 0 else next(j for j in self.axes if self.counts[j] == least)
+            self._spread(pin, held=True, fix=self.pin)
 
-    def _fix(self, port: int) -> None:
-        """Set ``port``'s variable to 1: its digit-0 slice if it is summed,
-        otherwise add its column to every state."""
-        if port in self.axes:
-            i = self.axes.index(port)
-            self.axes.pop(i)
-            radix = self.radices.pop(i)
+    def _spread(self, port: int, held: bool, fix: int | None = None) -> None:
+        """Sum ``port``'s variable over the roots of unity of radix count + 1
+        as the new slowest digit, so that the broadcast runs along the
+        existing states; ``held`` when ``t`` already holds its column once.
+        The variable of ``fix`` is set to 1 first: a summed port's digit-0
+        slice is read as a view, a new port's column is added to every state."""
+        n = len(self.t)
+        t, p = self.t[:, None], self.p[None]
+        if fix in self.axes:
+            i = self.axes.index(fix)
+            del self.axes[i]
+            r = self.radices.pop(i)
             outer = math.prod(self.radices[:i])
-            self.t = self.t.reshape(len(self.t), outer, radix, -1)[:, :, 0].reshape(len(self.t), -1)
-            self.p = self.p.reshape(outer, radix, -1)[:, 0].ravel()
-        else:
-            self.t = self.t + self.mp[:, port, None]
-
-    def _pin(self, port: int) -> None:
-        self._fix(port)
-        self.pin = port
-
-    def _spread(self, port: int, radix: int, held: bool) -> None:
-        """Sum ``port``'s variable over the ``radix``-th roots of unity as the
-        new slowest digit, so that the broadcast runs along the existing
-        states; ``held`` when ``t`` already holds its column once."""
+            t, p = self.t.reshape(n, outer, r, -1)[:, :, 0], self.p.reshape(outer, r, -1)[:, 0]
+        elif fix is not None:
+            t = (self.t + self.mp[:, fix, None])[:, None]
+        radix = self.counts[port] + 1
         roots = _unit_roots(radix)
-        shifts = roots - 1 if held else roots
-        col = self.mp[:, port, None]
-        self.t = (self.t[:, None] + (col * shifts)[:, :, None]).reshape(len(col), -1)
-        self.p = (roots[:, None] * self.p).ravel()
+        shifts = self.mp[:, port, None] * (_root_steps(radix) if held else roots)
+        self.t = (t[:, None] + shifts[:, :, None, None]).reshape(n, -1)
+        self.p = (roots[:, None, None] * p).ravel()
         self.axes.insert(0, port)
         self.radices.insert(0, radix)
 
@@ -323,8 +320,11 @@ def _chain_sample(
 
 def _resolve_rng(rng, seed) -> tuple[np.random.Generator, int | None]:
     """The generator of one draw and the seed it records. A seed is checked
-    like any count before any work; a generator and a seed together are
-    refused, since the draw could honour only one of them."""
+    like any count and a generator by its type, before any work; a generator
+    and a seed together are refused, since the draw could honour only one of
+    them."""
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}; pass a seed as seed=")
     if seed is None:
         return (np.random.default_rng() if rng is None else rng), None
     if rng is not None:

@@ -97,6 +97,18 @@ def test_sample_rejects_non_finite_unitary(nan_matrix_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header", [{"rows": 1.9}, {"rows": "1"}, {"cols": 1.9}, {"seed": 1.5}, {"seed": -3}, {"seed": "x"}]
+)
+def test_sample_rejects_header_fields_that_are_not_counts(tmp_path, header, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]], **header}))
+    assert main(["sample", "--unitary", str(path), "-n", "1", "--count", "1", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{next(iter(header))} must" in captured.err
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.stats costs over a second at import; only chi_square_fit needs it
     src = os.path.dirname(os.path.dirname(bosonbunch.__file__))

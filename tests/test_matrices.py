@@ -226,3 +226,44 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"rows": 1, "cols": 2, "re": [[1, NaN]], "im": [[0, 0]]}')
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+# a 1 x 1 unitary document whose header fields are overridden per case
+_BAD_HEADERS = [
+    {"rows": 1.9},
+    {"rows": "1"},
+    {"cols": 1.9},
+    {"cols": "1"},
+    {"seed": 1.5},
+    {"seed": -3},
+    {"seed": "x"},
+]
+
+
+def _one_port_doc(**header):
+    return json.dumps({"rows": 1, "cols": 1, "re": [[1.0]], "im": [[0.0]], **header})
+
+
+@pytest.mark.parametrize("header", _BAD_HEADERS)
+def test_load_rejects_header_fields_that_are_not_counts(tmp_path, header):
+    path = tmp_path / "bad.json"
+    path.write_text(_one_port_doc(**header))
+    for load in (load_matrix, load_unitary):
+        with pytest.raises(ValueError, match=f"^{next(iter(header))} must"):
+            load(path)
+
+
+def test_load_reads_an_integer_valued_seed_as_int(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(_one_port_doc(seed=2.0))
+    u = load_unitary(path)
+    assert u.seed == 2 and type(u.seed) is int
+
+
+@pytest.mark.parametrize("seed", [1.5, -3, "x"])
+def test_unitary_and_save_reject_bad_seeds(tmp_path, seed):
+    with pytest.raises(ValueError, match="^seed must"):
+        UnitaryMatrix(np.eye(2), seed=seed)
+    with pytest.raises(ValueError, match="^seed must"):
+        save_matrix(tmp_path / "u.json", np.eye(2), seed=seed)
+    assert not (tmp_path / "u.json").exists()

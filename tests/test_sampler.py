@@ -23,6 +23,7 @@ from bosonbunch import (
     submatrix,
     total_variation_distance,
 )
+from bosonbunch import sampler
 from bosonbunch.permanent import INNER_STATES, _expansion_sum
 from bosonbunch.sampler import (
     MASKED_LIMIT,
@@ -246,6 +247,26 @@ def test_dropped_table_step_that_overflows_is_retried():
     assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum())
 
 
+def test_dropped_table_overflow_retry_expands_once(monkeypatch):
+    # the table of the test above: the retry rescales the step's own accumulators
+    rng = np.random.default_rng(15)
+    mp = 1e15 * (rng.standard_normal((15, 16)) + 1j * rng.standard_normal((15, 16)))
+    table = _PrefixTable(mp)
+    for q in range(14):
+        table.add(q)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _expansion_sum(*args)
+
+    monkeypatch.setattr(sampler, "_expansion_sum", counted)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        cdf, steps = table.cdf(15)
+    assert len(calls) == 1 and steps == 2**13 - 1
+    assert np.isfinite(cdf[-1]) and cdf[-1] > 0
+
+
 def test_step_with_all_weights_zero_raises():
     # the second row is zero, so every candidate port of step 2 has weight exactly 0
     table = _PrefixTable(np.array([[1, 0], [0, 0]], dtype=np.complex128))
@@ -271,6 +292,9 @@ def _model_steps(counts):
         ([3, 3, 5, 5, 5, 6, 6, 1], [3, 3, 5, 5, 3, 6, 6, 1]),
         # a mixture of every kind on nine ports
         ([4, 4, 2, 7, 2, 4, 8, 8, 0, 0, 4, 7], None),
+        # the pin moves onto the middle of three summed axes, then a repeat
+        # re-sums the middle axis, then the last
+        ([0, 1, 2, 3, 3, 0, 3, 1, 3, 1], [0, 0, 0, 0, 0, 2, 2, 2, 2, 2]),
     ],
 )
 def test_carried_table_matches_fresh_expansion(script, pins):
@@ -393,6 +417,14 @@ def test_sample_refuses_a_generator_and_a_seed_together():
     with pytest.raises(ValueError, match="not both"):
         draw_sample(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5), seed=7)
     assert draw_sample(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5)).seed is None
+
+
+@pytest.mark.parametrize("rng", [5, np.random.SeedSequence(5), np.random.RandomState(5)])
+def test_sample_refuses_a_non_generator_rng(rng):
+    u = haar_unitary(5, seed=1)
+    for draw in (draw_sample, draw_sample_counted):
+        with pytest.raises(TypeError, match="seed="):
+            draw(u, 2, rng)
 
 
 @pytest.mark.parametrize("n", [1, 12])
