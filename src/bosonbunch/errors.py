@@ -15,19 +15,22 @@ class UnsupportedRegimeError(ValueError):
 
 def _integer_entries(values, what: str) -> np.ndarray:
     """``values`` as a 1-D int64 array; ValueError for any entry whose value
-    is not an integer (1.5, NaN, the string "1") or lies outside the int64
-    range (2**64 - 1, -2**63 - 1, 1e20). Integer-valued floats such as 2.0
-    are accepted."""
+    is not an integer (1.5, NaN, the string "1", True) or lies outside the
+    int64 range (2**64 - 1, -2**63 - 1, 1e20). Integer-valued floats such as
+    2.0 are accepted."""
     a = np.asarray(values)
     if a.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence, got shape {a.shape}")
+    # numpy reads Python booleans among ints as ints, so look at the entries
+    if not isinstance(values, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in values):
+        raise ValueError(f"{what} must hold integers only, got {list(values)!r}")
     kind = a.dtype.kind
     # numpy keeps Python ints that fit neither int64 nor uint64 as objects
     if kind == "O" and a.size and all(type(v) is int for v in a.tolist()):
         if not all(-(2**63) <= v < 2**63 for v in a.tolist()):
             raise ValueError(f"{what} must lie in the int64 range, got {a.tolist()!r}")
         a, kind = a.astype(np.int64), "i"
-    if not (kind in "biu" or kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all()):
+    if not (kind in "iu" or kind == "f" and np.isfinite(a).all() and (a == np.trunc(a)).all()):
         raise ValueError(f"{what} must hold integers only, got {a.tolist()!r}")
     if kind in "uf" and a.size and not (-(2**63) <= a.min() and a.max() < 2**63):
         raise ValueError(f"{what} must lie in the int64 range, got {a.tolist()!r}")
@@ -36,8 +39,10 @@ def _integer_entries(values, what: str) -> np.ndarray:
 
 def _check_count(value, what: str, minimum: int = 1) -> int:
     """``value`` as an int; ValueError before any work when it is not an
-    integer (2.5, NaN, the string "2", None) or lies below ``minimum``.
+    integer (2.5, NaN, the string "2", None, True) or lies below ``minimum``.
     Numpy integers and integer-valued floats such as 2.0 pass."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be an integer, not a boolean: {value!r}")
     try:
         count = operator.index(value)
     except TypeError:

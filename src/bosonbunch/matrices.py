@@ -190,9 +190,7 @@ def _parse_matrix_doc(doc) -> tuple[np.ndarray, int | None]:
         raise ValueError(
             f"entry grids {re.shape}/{im.shape} disagree with declared shape ({rows}, {cols})"
         )
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite")
-    return re + 1j * im, seed
+    return _as_complex_matrix(re + 1j * im), seed
 
 
 def load_matrix(path) -> np.ndarray:

@@ -13,6 +13,11 @@ Each level of a table copies the last one per root, then adds in place; a
 larger enumeration refills one buffer per tuple of its remaining variables.
 Every entry gets the additions of plain broadcast sums, bit for bit.
 
+Supported range: the naive sum to n = 10, Ryser and Glynn to n = 30, and
+every expansion route, the sampler's steps included, to 2**29 enumerated
+states (Glynn's count at n = 30) however many rows they have. Larger inputs
+and non-finite entries raise ``ValueError`` before any work.
+
 The cost is reported as ``gray_steps``: the enumerated states less one,
 the moves a Gray walk over them would make, though no walk is taken.
 ``cost_estimate`` gives the same cost in closed form, N row products per
@@ -30,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _integer_entries
-from .matrices import UnitaryMatrix
+from .matrices import UnitaryMatrix, _as_complex_matrix
 
 NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
@@ -50,8 +55,8 @@ __all__ = [
 
 
 def _as_square(matrix, limit: int, algorithm: str) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    a = _as_complex_matrix(matrix)
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"{algorithm} needs a square matrix, got shape {a.shape}")
     if a.shape[0] > limit:
         raise ValueError(
@@ -163,11 +168,15 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
     ``INNER_STATES`` states, one ``_level_table`` per column. Each tuple of
     the remaining (outer) variables shifts that table once, into one buffer
     that the call allocates once and refills per tuple, so ``term`` must not
-    keep its ``t`` past the call.
+    keep its ``t`` past the call. More than 2**(GRAY_LIMIT - 1) states
+    raise ``ValueError`` before any table is built.
     """
     n_rows = block.shape[0]
     fixed = radices.index(min(radices)) if fix_minimal else None
     summed = sorted((j for j in range(len(radices)) if j != fixed), key=radices.__getitem__)
+    states = math.prod(radices[j] for j in summed)
+    if states > 2 ** (GRAY_LIMIT - 1):
+        raise ValueError(f"{states} expansion states exceed the supported 2**{GRAY_LIMIT - 1}")
     n_inner, size = 0, 1
     while n_inner < len(summed) and size * radices[summed[n_inner]] <= INNER_STATES:
         size *= radices[summed[n_inner]]
@@ -183,15 +192,13 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
         p = (roots[:, None] * p).ravel()
 
     outer = summed[n_inner:]
-    states = math.prod(radices[j] for j in summed)
     if not outer:
         return term(p, t), states
     cols = block[:, outer]
     shifted = np.empty_like(t)
     total = 0
     for xs in itertools.product(*(_unit_roots(radices[j]) for j in outer)):
-        np.copyto(shifted, t)
-        shifted += (cols @ np.array(xs))[:, None]
+        np.add(t, (cols @ np.array(xs))[:, None], out=shifted)
         total += term(p * math.prod(xs), shifted)
     return total, states
 
@@ -230,7 +237,7 @@ def repeated_column_expansion(
     one, the steps a Gray walk over them would take:
     prod(m_j + 1) / min(m_j + 1) - 1 with the pin, prod(m_j + 1) - 1 without.
     """
-    a = np.asarray(column_block, dtype=np.complex128)
+    a = _as_complex_matrix(column_block)
     mult = _integer_entries(multiplicities, "multiplicities").tolist()
     if not mult:
         raise ValueError("multiplicities must be non-empty")
@@ -238,7 +245,7 @@ def repeated_column_expansion(
         raise ValueError(f"multiplicities must all be >= 1, got {mult}")
     n_cols = len(mult)
     n_rows = sum(mult)
-    if a.ndim != 2 or a.shape != (n_rows, n_cols):
+    if a.shape != (n_rows, n_cols):
         raise ValueError(
             f"column block must have shape ({n_rows}, {n_cols}) for multiplicities"
             f" {mult}, got {a.shape}"
@@ -289,16 +296,16 @@ def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
     )
 
 
-def output_probability(u, configuration, input_ports: Sequence[int] | None = None) -> float:
+def output_probability(u, configuration) -> float:
     """Probability of detecting the given output configuration.
 
     ``configuration`` is the per-port boson count vector (length M, summing
-    to N); bosons enter input ports 1..N unless ``input_ports`` overrides.
+    to N); bosons enter input ports 1..N, as in every draw. For other input
+    ports, permute the unitary's rows: ``UnitaryMatrix(u.matrix[order])``.
     The value is |permanent|^2 over the multiplicity factorials.
 
     Raises ``ValueError`` unless the counts are M non-negative integers
-    (integer-valued floats pass) holding at least one boson, with N <= M for
-    the default ports; explicit ports must be N distinct integers in 1..M.
+    (integer-valued floats pass) holding at least one and at most M bosons.
     Past these checks the cost is one call of the expansion kernel,
     prod(m_l + 1) / min(m_l + 1) states of N row sums over the occupied
     ports l.
@@ -318,21 +325,9 @@ def output_probability(u, configuration, input_ports: Sequence[int] | None = Non
     if min(mult) < 0:
         raise ValueError("configuration entries must be non-negative")
     n_bosons = sum(mult)
-    if input_ports is None:
-        if n_bosons > m_ports:
-            raise ValueError(
-                f"{n_bosons} bosons on {m_ports} ports: the default input ports"
-                f" 1..{n_bosons} do not exist"
-            )
-        block = u.matrix[:n_bosons].take(cols, axis=1)
-    else:
-        rows = _integer_entries(input_ports, "input ports").tolist()
-        if len(rows) != n_bosons:
-            raise ValueError(
-                f"need {n_bosons} input ports for {n_bosons} bosons, got {len(rows)}"
-            )
-        if len(set(rows)) != len(rows) or any(not 1 <= r <= m_ports for r in rows):
-            raise ValueError(f"input ports must be distinct and within 1..{m_ports}: {rows}")
-        block = u.matrix[np.ix_([r - 1 for r in rows], cols)]
-    per, _ = _repeated_permanent(block, mult)
+    if n_bosons > m_ports:
+        raise ValueError(
+            f"{n_bosons} bosons on {m_ports} ports: the input ports 1..{n_bosons} do not exist"
+        )
+    per, _ = _repeated_permanent(u.matrix[:n_bosons].take(cols, axis=1), mult)
     return float(abs(per) ** 2 / math.prod(map(math.factorial, mult)))

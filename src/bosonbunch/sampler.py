@@ -270,6 +270,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     is dropped, which is all the chain rule needs at a fixed step. The
     weights are a chain step's, squared unscaled from a fresh expansion.
     """
+    pi = _integer_entries(pi, "pi").tolist()
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError("pi must be a permutation of 1..N")
@@ -443,12 +444,22 @@ def empirical_counts(batch: SampleBatch) -> dict[tuple[int, ...], int]:
     return counts
 
 
+def _sample_size(counts: Mapping[tuple, int]) -> int:
+    """The number of observations in ``counts``; ValueError before any
+    arithmetic unless every count is a non-negative integer and one is
+    positive."""
+    values = _integer_entries(list(counts.values()), "counts").tolist()
+    if any(c < 0 for c in values):
+        raise ValueError(f"counts must be non-negative, got {values}")
+    if not any(values):
+        raise ValueError("empty sample")
+    return sum(values)
+
+
 def total_variation_distance(
     counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]
 ) -> float:
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("empty sample")
+    total = _sample_size(counts)
     keys = set(counts) | set(probabilities)
     return 0.5 * sum(
         abs(counts.get(k, 0) / total - probabilities.get(k, 0.0)) for k in keys
@@ -466,9 +477,7 @@ def chi_square_fit(
     validity fix for sparse cells. Any observation outside the support (or
     in a zero-probability bin) is an immediate failure with p = 0.
     """
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("empty sample")
+    total = _sample_size(counts)
     if set(counts) - set(probabilities):
         return math.inf, 0.0
 

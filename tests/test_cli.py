@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_permanent_repeated_reports_gray_steps(tmp_path, capsys):
     assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,1"]) == 0
     out = capsys.readouterr().out
     assert "gray_steps: 2" in out
+
+
+def test_permanent_repeated_refuses_past_the_state_ceiling(tmp_path, capsys):
+    # 31 distinct columns: 2**30 states, which would run for hours
+    path = tmp_path / "ones.json"
+    save_matrix(path, np.ones((31, 31), dtype=complex))
+    argv = ["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", ",".join("1" * 31)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expansion states exceed" in captured.err
 
 
 def test_permanent_repeated_validates_multiplicities(tmp_path, capsys):

@@ -68,6 +68,12 @@ def test_haar_rejects_bad_seed(seed):
         haar_unitary(3, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [True, np.False_])
+def test_haar_refuses_a_boolean_seed(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        haar_unitary(2, seed=seed)
+
+
 def test_integer_valued_seed_builds_the_same_unitary():
     reference = haar_unitary(3, seed=2)
     for seed in (2.0, np.int64(2)):
@@ -250,6 +256,15 @@ def test_load_rejects_header_fields_that_are_not_counts(tmp_path, header):
     path.write_text(_one_port_doc(**header))
     for load in (load_matrix, load_unitary):
         with pytest.raises(ValueError, match=f"^{next(iter(header))} must"):
+            load(path)
+
+
+@pytest.mark.parametrize("header", [{"rows": True}, {"cols": True}, {"seed": False}])
+def test_load_refuses_boolean_header_fields(tmp_path, header):
+    path = tmp_path / "bad.json"
+    path.write_text(_one_port_doc(**header))
+    for load in (load_matrix, load_unitary):
+        with pytest.raises(ValueError, match=f"^{next(iter(header))} must be an integer"):
             load(path)
 
 

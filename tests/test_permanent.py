@@ -1,11 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from bosonbunch import (
     UnitaryMatrix,
+    conditional_weights,
     cost_estimate,
     haar_unitary,
     output_probability,
@@ -144,17 +146,18 @@ def test_full_and_reduced_expansions_agree():
 @pytest.mark.parametrize("fix_minimal", [True, False])
 def test_repeated_rank_one_closed_form(fix_minimal):
     # columns v_j u repeated m_j times: perm = N! prod(u) prod_j v_j^m_j;
-    # unpinned, the 6,912 states exceed one inner table
-    pattern = [3, 3, 2, 2, 2, 1, 1, 1, 1]
-    n = sum(pattern)
+    # unpinned, the 6,912 states of the first pattern exceed one inner table;
+    # the second has 40 rows, past GRAY_LIMIT, but only 21 (441) states
     rng = np.random.default_rng(12)
-    u = random_complex(rng, n)
-    v = random_complex(rng, len(pattern))
-    reference = math.factorial(n) * u.prod() * np.prod(v ** np.array(pattern))
-    value, steps = repeated_column_expansion(np.outer(u, v), pattern, fix_minimal=fix_minimal)
-    assert rel_err(value, reference) < 1e-12
-    factors = [m + 1 for m in pattern]
-    assert steps == math.prod(factors) // (min(factors) if fix_minimal else 1) - 1
+    for pattern in ([3, 3, 2, 2, 2, 1, 1, 1, 1], [20, 20]):
+        n = sum(pattern)
+        u = random_complex(rng, n)
+        v = random_complex(rng, len(pattern))
+        reference = math.factorial(n) * u.prod() * np.prod(v ** np.array(pattern))
+        value, steps = repeated_column_expansion(np.outer(u, v), pattern, fix_minimal=fix_minimal)
+        assert rel_err(value, reference) < 1e-12, pattern
+        factors = [m + 1 for m in pattern]
+        assert steps == math.prod(factors) // (min(factors) if fix_minimal else 1) - 1
 
 
 def test_repeated_is_column_permutation_invariant():
@@ -242,6 +245,47 @@ def test_outer_tuples_refill_one_buffer_bit_for_bit(term):
         assert np.array_equal(p, p_ref) and np.array_equal(t, t_ref)
     want = sum(term(p, t) for p, t in chunks)
     assert np.asarray(total).tobytes() == np.asarray(want).tobytes()
+
+
+ROUTES = {
+    "naive": permanent_naive,
+    "ryser": permanent_ryser,
+    "glynn": permanent_glynn,
+    "repeated": lambda a: repeated_column_expansion(a, [1] * len(a)),
+}
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(1, -np.inf)], ids=["nan", "inf", "-inf-imag"])
+@pytest.mark.parametrize("route", ROUTES)
+def test_permanents_refuse_non_finite_entries(route, entry):
+    # any RuntimeWarning on the way would fail the test as well
+    a = np.ones((3, 3), dtype=complex)
+    a[1, 2] = entry
+    with pytest.raises(ValueError, match="^matrix entries must be finite"):
+        ROUTES[route](a)
+
+
+# inputs past the 2**29 states of Glynn at n = 30; without the ceiling each runs for hours
+U40 = haar_unitary(40, seed=31)
+PAST_THE_CEILING = {
+    "ones-31": (repeated_column_expansion, np.ones((31, 31)), [1] * 31),
+    "unpinned-30": (
+        lambda a, m: repeated_column_expansion(a, m, fix_minimal=False), np.ones((30, 30)), [1] * 30
+    ),
+    "31-bosons-on-40": (output_probability, U40, [1] * 31 + [0] * 9),
+    "31-prefix-ports": (
+        lambda u, prefix: conditional_weights(u, list(range(1, 33)), prefix), U40, list(range(1, 32))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_CEILING)
+def test_every_expansion_route_refuses_past_the_ceiling(case):
+    call, matrix, counts = PAST_THE_CEILING[case]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^\d+ expansion states exceed the supported 2\*\*29$"):
+        call(matrix, counts)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_repeated_rejects_bad_shapes():
@@ -364,40 +408,17 @@ def test_cost_and_expansion_reject_non_integer_counts():
         repeated_column_expansion(np.ones((2, 2)), [1.9, 1])
 
 
+def test_output_probability_refuses_boolean_counts():
+    with pytest.raises(ValueError, match="^configuration must hold integers only"):
+        output_probability(haar_unitary(4, seed=2), [True, True, False, False])
+
+
 def test_integer_valued_float_counts_are_accepted():
     u = haar_unitary(3, seed=2)
     assert output_probability(u, [2.0, 0.0, 1.0]) == output_probability(u, [2, 0, 1])
     assert cost_estimate(np.array([2.0, 1.0])) == cost_estimate([2, 1])
     block = random_complex(np.random.default_rng(20), (3, 2))
     assert repeated_column_expansion(block, [2.0, 1.0]) == repeated_column_expansion(block, [2, 1])
-
-
-PORTS_U = haar_unitary(6, seed=21)
-PORTS_CONFIGS = [[1, 0, 2, 0, 1, 0], [0, 0, 0, 3, 0, 1], [1, 1, 1, 0, 0, 1]]
-
-
-def test_explicit_default_ports_equal_the_default():
-    for config in PORTS_CONFIGS:
-        ports = list(range(1, sum(config) + 1))
-        assert output_probability(PORTS_U, config, input_ports=ports) == output_probability(PORTS_U, config)
-
-
-def test_input_ports_select_the_rows_of_the_unitary():
-    ports = [5, 2, 6, 1]
-    order = ports + [r for r in range(1, 7) if r not in ports]
-    permuted = UnitaryMatrix(PORTS_U.matrix[np.array(order) - 1])
-    for config in PORTS_CONFIGS:
-        assert output_probability(PORTS_U, config, input_ports=ports) == output_probability(permuted, config)
-
-
-@pytest.mark.parametrize(
-    "ports",
-    [[1, 1, 2, 3], [0, 1, 2, 3], [1, 2, 3, 7], [1, 2, 3], [1, 2, 3, 4, 5], [1, 2.5, 3, 4]],
-    ids=["duplicate", "below-range", "above-range", "too-few", "too-many", "non-integer"],
-)
-def test_output_probability_rejects_bad_ports(ports):
-    with pytest.raises(ValueError):
-        output_probability(PORTS_U, PORTS_CONFIGS[0], input_ports=ports)
 
 
 def test_output_probabilities_normalize():

@@ -362,6 +362,11 @@ def test_weights_reject_too_many_bosons_before_any_work(prefix):
         conditional_weights(haar_unitary(3, seed=1), (1, 2, 3, 4), prefix)
 
 
+def test_weights_refuse_a_boolean_row_order():
+    with pytest.raises(ValueError, match="^pi must hold integers only"):
+        conditional_weights(haar_unitary(3, seed=1), [True, 2], [1])
+
+
 def test_weights_accept_integer_valued_float_prefix():
     u = haar_unitary(3, seed=1)
     assert np.array_equal(
@@ -403,6 +408,12 @@ def test_sample_rejects_bad_seeds(seed):
         draw_sample(u, 2, seed=seed)
     with pytest.raises(ValueError, match="^seed must"):
         draw_sample_counted(u, 2, seed=seed)
+
+
+@pytest.mark.parametrize("n_bosons", [True, np.True_])
+def test_sample_refuses_a_boolean_boson_count(n_bosons):
+    with pytest.raises(ValueError, match="^n_bosons must be an integer"):
+        draw_sample(haar_unitary(4, seed=1), n_bosons, seed=1)
 
 
 @pytest.mark.parametrize("seed", [2.0, np.int64(2)])
@@ -639,3 +650,20 @@ def test_chi_square_fit_flags_off_support_observations():
 def test_total_variation_distance_empty_sample():
     with pytest.raises(ValueError):
         total_variation_distance({}, {(1,): 1.0})
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({(1, 0): -5, (0, 1): 10}, "be non-negative"),
+        ({(1, 0): 2.5, (0, 1): 1}, "hold integers only"),
+        ({(1, 0): "3", (0, 1): 1}, "hold integers only"),
+        ({(1, 0): True, (0, 1): 1}, "hold integers only"),
+    ],
+    ids=["negative", "fraction", "string", "boolean"],
+)
+def test_fit_helpers_refuse_bad_counts(counts, message):
+    exact = {(1, 0): 0.5, (0, 1): 0.5}
+    for helper in (total_variation_distance, chi_square_fit):
+        with pytest.raises(ValueError, match=f"^counts must {message}"):
+            helper(counts, exact)
