@@ -19,7 +19,7 @@ import numpy as np
 from .errors import _check_count
 from .matrices import UnitaryMatrix, haar_unitary
 from .permanent import cost_estimate
-from .portstats import probability_cost_bounds, sampling_cost_bounds
+from .portstats import sampling_cost_bounds
 from .sampler import PortSequence, SampleOps, draw_sample_counted
 
 LOWER_ENVELOPE_SLACK_LOG2 = 2.0
@@ -120,8 +120,8 @@ def scaling_report(
             op_units.append(ops.op_units)
             gray_totals.append(ops.gray_steps)
 
-        t1 = probability_cost_bounds(n_bosons, n_ports, epsilon)
-        t2 = sampling_cost_bounds(n_bosons, n_ports, epsilon)
+        # the sampling report extends the probability report, so it holds both
+        bounds = sampling_cost_bounds(n_bosons, n_ports, epsilon)
         rows.append(
             {
                 "N": n_bosons,
@@ -129,10 +129,10 @@ def scaling_report(
                 "rho": n_bosons / n_ports,
                 "mean_log2_ops": math.log2(float(np.mean(op_units))) if op_units else float("nan"),
                 "max_log2_ops": math.log2(float(np.max(op_units))) if op_units else float("nan"),
-                "t1_lower_log2": t1.prob_lower_log2,
-                "t1_upper_log2": t1.prob_upper_log2,
-                "t2_lower_log2": t2.sample_lower_log2,
-                "t2_upper_log2": t2.sample_upper_log2,
+                "t1_lower_log2": bounds.prob_lower_log2,
+                "t1_upper_log2": bounds.prob_upper_log2,
+                "t2_lower_log2": bounds.sample_lower_log2,
+                "t2_upper_log2": bounds.sample_upper_log2,
                 "baseline_log2": math.log2(n_bosons) + n_bosons - 1,
                 "mean_gray_steps": float(np.mean(gray_totals)) if gray_totals else float("nan"),
             }

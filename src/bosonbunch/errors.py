@@ -1,4 +1,11 @@
-"""Shared exception types and the input checks that raise them."""
+"""Shared exception types and the input checks that raise them.
+
+Every count, count vector, port list and boson number enters through one
+gate here, before any work: ``_check_count`` (one integer),
+``_check_counts`` (a count vector with a positive entry), ``_check_ports``
+(1-based ports) and ``_check_boson_count`` (the N <= M regime); all of them
+read entries with ``_integer_entries``.
+"""
 
 import operator
 
@@ -50,6 +57,28 @@ def _check_count(value, what: str, minimum: int = 1) -> int:
     if count < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {count}")
     return count
+
+
+def _check_counts(values, what: str, minimum: int = 0) -> np.ndarray:
+    """``values`` as a 1-D int64 array, read as ``_integer_entries`` reads
+    it; ValueError when no entry is positive or one lies below ``minimum``."""
+    counts = _integer_entries(values, what)
+    listed = counts.tolist()  # min and max of a short list beat numpy's reductions
+    if not listed or max(listed) <= 0:
+        raise ValueError(f"{what} must hold a positive entry, got {listed}")
+    if min(listed) < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise ValueError(f"{what} must be {bound}, got {listed}")
+    return counts
+
+
+def _check_ports(values, what: str, n_ports: int) -> list[int]:
+    """``values`` as a list of ints; ValueError unless every entry is an
+    integer port in 1..``n_ports``."""
+    ports = _integer_entries(values, what).tolist()
+    if any(not 1 <= q <= n_ports for q in ports):
+        raise ValueError(f"{what} must lie in 1..{n_ports}, got {ports}")
+    return ports
 
 
 def _check_boson_count(n_bosons: int, n_ports: int) -> tuple[int, int]:

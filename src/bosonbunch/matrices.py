@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_count, _integer_entries
+from .errors import _check_count, _check_ports, _integer_entries
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -130,14 +130,10 @@ def submatrix(u, row_indices: Sequence[int], port_multiset: Sequence[int]) -> np
     bit-exactly from the source matrix.
     """
     a = _matrix_of(u)
-    rows = _integer_entries(row_indices, "row indices").tolist()
-    ports = _integer_entries(port_multiset, "port multiset").tolist()
+    rows = _check_ports(row_indices, "row indices", a.shape[0])
+    ports = _check_ports(port_multiset, "port multiset", a.shape[1])
     if not rows or not ports:
         raise ValueError("row_indices and port_multiset must be non-empty")
-    if any(not 1 <= r <= a.shape[0] for r in rows):
-        raise ValueError(f"row index out of range 1..{a.shape[0]}: {rows}")
-    if any(not 1 <= p <= a.shape[1] for p in ports):
-        raise ValueError(f"port index out of range 1..{a.shape[1]}: {ports}")
     if any(ports[i] > ports[i + 1] for i in range(len(ports) - 1)):
         raise ValueError(f"port multiset must be sorted non-decreasing: {ports}")
     idx_rows = [r - 1 for r in rows]

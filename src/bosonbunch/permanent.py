@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _integer_entries
+from .errors import _check_boson_count, _check_counts
 from .matrices import UnitaryMatrix, _as_complex_matrix
 
 NAIVE_LIMIT = 10
@@ -238,11 +238,7 @@ def repeated_column_expansion(
     prod(m_j + 1) / min(m_j + 1) - 1 with the pin, prod(m_j + 1) - 1 without.
     """
     a = _as_complex_matrix(column_block)
-    mult = _integer_entries(multiplicities, "multiplicities").tolist()
-    if not mult:
-        raise ValueError("multiplicities must be non-empty")
-    if min(mult) < 1:
-        raise ValueError(f"multiplicities must all be >= 1, got {mult}")
+    mult = _check_counts(multiplicities, "multiplicities", minimum=1).tolist()
     n_cols = len(mult)
     n_rows = sum(mult)
     if a.shape != (n_rows, n_cols):
@@ -283,12 +279,7 @@ def _pinned_states(counts) -> int:
 
 def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
     """Evaluation cost of one output probability for the given configuration."""
-    occ = _integer_entries(occupations, "occupations").tolist()
-    if any(m < 0 for m in occ):
-        raise ValueError(f"occupations must be non-negative, got {occ}")
-    counts = [m for m in occ if m > 0]
-    if not counts:
-        raise ValueError("configuration holds no bosons")
+    counts = [m for m in _check_counts(occupations, "occupations").tolist() if m > 0]
     return CostEstimate(
         op_units=sum(counts) * _pinned_states(counts),
         bunching_product=math.prod(c + 1 for c in counts),
@@ -305,7 +296,8 @@ def output_probability(u, configuration) -> float:
     The value is |permanent|^2 over the multiplicity factorials.
 
     Raises ``ValueError`` unless the counts are M non-negative integers
-    (integer-valued floats pass) holding at least one and at most M bosons.
+    (integer-valued floats pass) holding at least one boson, and
+    ``UnsupportedRegimeError`` for more than M bosons, as every draw does.
     Past these checks the cost is one call of the expansion kernel,
     prod(m_l + 1) / min(m_l + 1) states of N row sums over the occupied
     ports l.
@@ -313,21 +305,13 @@ def output_probability(u, configuration) -> float:
     if not isinstance(u, UnitaryMatrix):
         raise TypeError("output_probability expects a UnitaryMatrix")
     m_ports = u.matrix.shape[0]
-    occ = _integer_entries(configuration, "configuration")
+    occ = _check_counts(configuration, "configuration")
     if occ.shape[0] != m_ports:
         raise ValueError(
             f"configuration must have one entry per port ({m_ports}), got shape {occ.shape}"
         )
     (cols,) = occ.nonzero()
     mult = occ[cols].tolist()
-    if not mult:
-        raise ValueError("configuration holds no bosons")
-    if min(mult) < 0:
-        raise ValueError("configuration entries must be non-negative")
-    n_bosons = sum(mult)
-    if n_bosons > m_ports:
-        raise ValueError(
-            f"{n_bosons} bosons on {m_ports} ports: the input ports 1..{n_bosons} do not exist"
-        )
+    n_bosons, _ = _check_boson_count(sum(mult), m_ports)
     per, _ = _repeated_permanent(u.matrix[:n_bosons].take(cols, axis=1), mult)
     return float(abs(per) ** 2 / math.prod(map(math.factorial, mult)))

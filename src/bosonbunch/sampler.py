@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import _check_boson_count, _check_count, _integer_entries
+from .errors import _check_boson_count, _check_count, _check_counts, _check_ports, _integer_entries
 from .matrices import UnitaryMatrix, fingerprint
 from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots, output_probability
 
@@ -274,17 +274,14 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError("pi must be a permutation of 1..N")
-    if len(prefix) >= n:
-        raise ValueError(f"prefix of length {len(prefix)} leaves no port to sample")
-    m_ports = u.dim
-    ports = _integer_entries(prefix, "prefix")
-    if ports.size and (ports.min() < 1 or ports.max() > m_ports):
-        raise ValueError(f"prefix ports must lie in 1..{m_ports}")
-    _check_boson_count(n, m_ports)
-    k = len(prefix) + 1
+    ports = _check_ports(prefix, "prefix", u.dim)
+    if len(ports) >= n:
+        raise ValueError(f"prefix of length {len(ports)} leaves no port to sample")
+    _check_boson_count(n, u.dim)
+    k = len(ports) + 1
     table = _PrefixTable(u.matrix[np.asarray(pi[:k], dtype=int) - 1])
     table.t = table.p = None
-    for q in ports.tolist():
+    for q in ports:
         table.add(q - 1)
     weights, _ = table.weights(k)
     return weights
@@ -444,22 +441,21 @@ def empirical_counts(batch: SampleBatch) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def _sample_size(counts: Mapping[tuple, int]) -> int:
-    """The number of observations in ``counts``; ValueError before any
-    arithmetic unless every count is a non-negative integer and one is
-    positive."""
-    values = _integer_entries(list(counts.values()), "counts").tolist()
-    if any(c < 0 for c in values):
-        raise ValueError(f"counts must be non-negative, got {values}")
-    if not any(values):
-        raise ValueError("empty sample")
-    return sum(values)
+def _check_probabilities(probabilities: Mapping[tuple, float]) -> None:
+    """ValueError unless the probabilities are numbers, none negative, whose
+    sum lies within 1e-9 of one (NaN and infinities fail one of these); exact
+    brute-force totals come within 1e-14."""
+    p = np.array(list(probabilities.values()), dtype=np.float64)
+    if p.ndim != 1 or not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"probabilities must be non-negative and sum to 1 within 1e-9, got {p.sum()}")
 
 
 def total_variation_distance(
     counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]
 ) -> float:
-    total = _sample_size(counts)
+    # Python ints: an int64 sum can overflow near 2**63
+    total = sum(_check_counts(list(counts.values()), "counts").tolist())
+    _check_probabilities(probabilities)
     keys = set(counts) | set(probabilities)
     return 0.5 * sum(
         abs(counts.get(k, 0) / total - probabilities.get(k, 0.0)) for k in keys
@@ -477,7 +473,8 @@ def chi_square_fit(
     validity fix for sparse cells. Any observation outside the support (or
     in a zero-probability bin) is an immediate failure with p = 0.
     """
-    total = _sample_size(counts)
+    total = sum(_check_counts(list(counts.values()), "counts").tolist())
+    _check_probabilities(probabilities)
     if set(counts) - set(probabilities):
         return math.inf, 0.0
 

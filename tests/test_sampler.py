@@ -11,11 +11,13 @@ from bosonbunch import (
     brute_force_distribution,
     chi_square_fit,
     conditional_weights,
+    cost_estimate,
     draw_sample,
     draw_sample_counted,
     empirical_counts,
     haar_unitary,
     identity_unitary,
+    output_probability,
     permanent_naive,
     repeated_column_expansion,
     sample_batch,
@@ -667,3 +669,85 @@ def test_fit_helpers_refuse_bad_counts(counts, message):
     for helper in (total_variation_distance, chi_square_fit):
         with pytest.raises(ValueError, match=f"^counts must {message}"):
             helper(counts, exact)
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [
+        {(1, 0): -0.5, (0, 1): 1.5},
+        {(1, 0): float("nan"), (0, 1): 2.0},
+        {(1, 0): float("inf"), (0, 1): 0.0},
+        {(1, 0): 0.5, (0, 1): 0.6},
+        {(1, 0): 0.5},
+        {},
+    ],
+    ids=["negative", "nan", "infinite", "over-one", "under-one", "empty"],
+)
+def test_fit_helpers_refuse_bad_probabilities(probabilities):
+    counts = {(1, 0): 10, (0, 1): 10}
+    for helper in (total_variation_distance, chi_square_fit):
+        with pytest.raises(ValueError, match="^probabilities must"):
+            helper(counts, probabilities)
+
+
+def test_fit_helpers_accept_totals_within_the_tolerance():
+    counts = {(1, 0): 10, (0, 1): 10}
+    assert total_variation_distance(counts, {(1, 0): 0.5, (0, 1): 0.5 + 5e-10}) < 1e-9
+    assert chi_square_fit(counts, {(1, 0): 0.5 - 5e-10, (0, 1): 0.5})[1] > 0.99
+
+
+# ------------------------------------------------------------- input gates
+
+U2 = haar_unitary(2, seed=5)
+U3 = haar_unitary(3, seed=5)
+EVEN = {(1, 0): 0.5, (0, 1): 0.5}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-1, 2], [0, 0], [1.5, 1], [True, 1], [[1]]],
+    ids=["negative", "no-positive", "fraction", "boolean", "nested"],
+)
+@pytest.mark.parametrize(
+    "what, entrance",
+    [
+        ("configuration", lambda c: output_probability(U2, c)),
+        ("occupations", cost_estimate),
+        ("multiplicities", lambda c: repeated_column_expansion(np.ones((2, 2)), c)),
+        ("counts", lambda c: total_variation_distance(dict(zip(EVEN, c)), EVEN)),
+        ("counts", lambda c: chi_square_fit(dict(zip(EVEN, c)), EVEN)),
+    ],
+    ids=["output_probability", "cost_estimate", "repeated_column_expansion", "tvd", "chi_square"],
+)
+def test_every_count_entrance_refuses_bad_vectors(what, entrance, values):
+    with pytest.raises(ValueError, match=f"^{what} must"):
+        entrance(values)
+
+
+PORT_ENTRANCES = {
+    "prefix": lambda q: conditional_weights(U3, [1, 2, 3], [q]),
+    "row indices": lambda q: submatrix(U3, [q], [1]),
+    "port multiset": lambda q: submatrix(U3, [1], [q]),
+}
+
+
+@pytest.mark.parametrize("port", [0, 4])
+@pytest.mark.parametrize("what", PORT_ENTRANCES)
+def test_every_port_entrance_refuses_ports_out_of_range(what, port):
+    with pytest.raises(ValueError, match=f"^{what} must lie in 1..3, got \\[{port}\\]$"):
+        PORT_ENTRANCES[what](port)
+
+
+@pytest.mark.parametrize(
+    "entrance",
+    [
+        lambda u: draw_sample(u, 4, seed=0),
+        lambda u: brute_force_distribution(u, 4),
+        lambda u: conditional_weights(u, (1, 2, 3, 4), ()),
+        lambda u: output_probability(u, [4, 0, 0]),
+    ],
+    ids=["draw_sample", "brute_force_distribution", "conditional_weights", "output_probability"],
+)
+def test_more_bosons_than_ports_is_one_regime_error(entrance):
+    with pytest.raises(UnsupportedRegimeError, match="^4 bosons on 3 ports"):
+        entrance(U3)
