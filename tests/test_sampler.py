@@ -324,6 +324,28 @@ def test_carried_table_matches_fresh_expansion(script, pins):
             assert counts[table.pin] == min(counts.values())
 
 
+def test_carried_table_cdfs_are_pinned():
+    # chains drawn at (12, 12) and (12, 24), then the script whose pin moves
+    # onto the middle of three summed axes; every step's cdf bytes are hashed
+    chains = []
+    for m, seed in [(12, 7), (24, 8)]:
+        u = haar_unitary(m, seed=seed)
+        for s in range(3):
+            seq = draw_sample(u, 12, seed=s)
+            chains.append((u.matrix[np.asarray(seq.row_order) - 1], [q - 1 for q in seq.ports]))
+    rng = np.random.default_rng(10)
+    mp = rng.standard_normal((11, 9)) + 1j * rng.standard_normal((11, 9))
+    chains.append((mp, [0, 1, 2, 3, 3, 0, 3, 1, 3, 1, 0]))
+    digest = hashlib.sha256()
+    for mp, script in chains:
+        table = _PrefixTable(mp)
+        for k, q in enumerate(script, start=1):
+            cdf, steps = table.cdf(k)
+            digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
+            table.add(q)
+    assert digest.hexdigest() == "a837b3ac8ec6d18e246f56439ecbff09e9457e576b8fe0a7121ef9aa504b90d7"
+
+
 @pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3)])
 def test_chain_weights_match_conditional_weights(n, m, seed):
     u = haar_unitary(m, seed=seed)
