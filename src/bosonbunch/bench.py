@@ -23,6 +23,10 @@ from .portstats import sampling_cost_bounds
 from .sampler import PortSequence, SampleOps, draw_sample_counted
 
 LOWER_ENVELOPE_SLACK_LOG2 = 2.0
+# tail probability of the bound reports that scaling_report tabulates
+SCALING_EPSILON = 0.1
+# per-sample op units of the worst configuration above which a point is refused
+MAX_OP_UNITS = 10**8
 
 CSV_COLUMNS = (
     "N",
@@ -43,6 +47,8 @@ __all__ = [
     "write_scaling_csv",
     "CSV_COLUMNS",
     "LOWER_ENVELOPE_SLACK_LOG2",
+    "SCALING_EPSILON",
+    "MAX_OP_UNITS",
 ]
 
 
@@ -86,14 +92,13 @@ def scaling_report(
     m_rule: Callable[[int], int],
     samples_per_point: int,
     seed: int,
-    epsilon: float = 0.1,
-    max_op_units: int = 10**8,
 ) -> list[dict]:
     """Sweep (N, M) points, sampling each and tabulating measured op counts
-    against the analytic bounds and the collision-free baseline N 2^(N-1).
+    against the analytic bounds at tail probability ``SCALING_EPSILON`` and
+    the collision-free baseline N 2^(N-1).
 
-    Infeasible points are refused up front, quoting the cost estimate of the
-    worst (collision-free) configuration.
+    A point whose worst (collision-free) configuration costs more than
+    ``MAX_OP_UNITS`` per sample is refused up front, quoting that estimate.
     """
     samples_per_point = _check_count(samples_per_point, "samples_per_point", minimum=0)
     seed = _check_count(seed, "seed", minimum=0)
@@ -102,10 +107,10 @@ def scaling_report(
         n_ports = int(m_rule(n_bosons))
         worst = cost_estimate([1] * n_bosons + [0] * max(0, n_ports - n_bosons))
         expected_worst = worst.op_units + n_ports * n_bosons**2
-        if expected_worst > max_op_units:
+        if expected_worst > MAX_OP_UNITS:
             raise ValueError(
                 f"point (N={n_bosons}, M={n_ports}) is infeasible: about"
-                f" {expected_worst} op units per sample (limit {max_op_units})"
+                f" {expected_worst} op units per sample (limit {MAX_OP_UNITS})"
             )
         unitary_seed = int(
             np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0]
@@ -121,7 +126,7 @@ def scaling_report(
             gray_totals.append(ops.gray_steps)
 
         # the sampling report extends the probability report, so it holds both
-        bounds = sampling_cost_bounds(n_bosons, n_ports, epsilon)
+        bounds = sampling_cost_bounds(n_bosons, n_ports, SCALING_EPSILON)
         rows.append(
             {
                 "N": n_bosons,

@@ -1,10 +1,11 @@
 """Shared exception types and the input checks that raise them.
 
-Every count, count vector, port list and boson number enters through one
-gate here, before any work: ``_check_count`` (one integer),
+Every count, count vector, port list, row order and boson number enters
+through one gate here, before any work: ``_check_count`` (one integer),
 ``_check_counts`` (a count vector with a positive entry), ``_check_ports``
-(1-based ports) and ``_check_boson_count`` (the N <= M regime); all of them
-read entries with ``_integer_entries``.
+(1-based ports), ``_check_permutation`` (an ordering of 1..n) and
+``_check_boson_count`` (the N <= M regime); all of them read entries with
+``_integer_entries``.
 """
 
 import operator
@@ -79,6 +80,14 @@ def _check_ports(values, what: str, n_ports: int) -> list[int]:
     if any(not 1 <= q <= n_ports for q in ports):
         raise ValueError(f"{what} must lie in 1..{n_ports}, got {ports}")
     return ports
+
+
+def _check_permutation(values, what: str) -> list[int]:
+    """``values`` as a list of ints; ValueError unless they are 1..n in some order."""
+    perm = _integer_entries(values, what).tolist()
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"{what} must be a permutation of 1..n, got {perm}")
+    return perm
 
 
 def _check_boson_count(n_bosons: int, n_ports: int) -> tuple[int, int]:

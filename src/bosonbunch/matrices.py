@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_count, _check_ports, _integer_entries
+from .errors import _check_count, _check_permutation, _check_ports
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -108,11 +108,8 @@ def identity_unitary(dim: int) -> UnitaryMatrix:
 
 def permutation_unitary(targets: Sequence[int]) -> UnitaryMatrix:
     """Unitary routing input port k to output port ``targets[k-1]`` (1-based)."""
-    perm = _integer_entries(targets, "targets").tolist()
-    dim = len(perm)
-    if sorted(perm) != list(range(1, dim + 1)):
-        raise ValueError(f"targets must be a permutation of 1..{dim}, got {targets}")
-    a = np.zeros((dim, dim), dtype=np.complex128)
+    perm = _check_permutation(targets, "targets")
+    a = np.zeros((len(perm), len(perm)), dtype=np.complex128)
     for k, t in enumerate(perm):
         a[t - 1, k] = 1.0
     return UnitaryMatrix(matrix=a)

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import _check_boson_count, _check_count, _check_counts, _check_ports, _integer_entries
+from .errors import _check_boson_count, _check_count, _check_counts, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, fingerprint
 from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots, output_probability
 
@@ -270,10 +270,8 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     is dropped, which is all the chain rule needs at a fixed step. The
     weights are a chain step's, squared unscaled from a fresh expansion.
     """
-    pi = _integer_entries(pi, "pi").tolist()
+    pi = _check_permutation(pi, "pi")
     n = len(pi)
-    if sorted(pi) != list(range(1, n + 1)):
-        raise ValueError("pi must be a permutation of 1..N")
     ports = _check_ports(prefix, "prefix", u.dim)
     if len(ports) >= n:
         raise ValueError(f"prefix of length {len(ports)} leaves no port to sample")

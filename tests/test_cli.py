@@ -86,6 +86,35 @@ def test_permanent_repeated_validates_multiplicities(tmp_path, capsys):
     assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,2"]) == 2
 
 
+@pytest.mark.parametrize("tokens", ["2.0,1", " 2,+1"], ids=["float", "signed"])
+def test_permanent_repeated_reads_multiplicities_as_the_library_does(tmp_path, capsys, tokens):
+    path = tmp_path / "block.json"
+    save_matrix(path, np.random.default_rng(4).standard_normal((3, 2)).astype(complex))
+    argv = ["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities"]
+    outputs = []
+    for multiplicities in ("2,1", tokens):
+        assert main([*argv, multiplicities]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ("1.5,1", "multiplicities must hold integers only"),
+        ("a,1", "--multiplicities must be comma-separated numbers"),
+        ("2,", "--multiplicities must be comma-separated numbers"),
+    ],
+    ids=["fraction", "word", "empty-token"],
+)
+def test_permanent_repeated_refuses_bad_multiplicities(tmp_path, capsys, tokens, message):
+    path = tmp_path / "block.json"
+    save_matrix(path, np.ones((3, 2), dtype=complex))
+    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", tokens]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
 def test_permanent_naive_guard_is_usage_error(tmp_path):
     path = tmp_path / "big.json"
     save_matrix(path, np.eye(11, dtype=complex))

@@ -19,6 +19,7 @@ from bosonbunch import (
     identity_unitary,
     output_probability,
     permanent_naive,
+    permutation_unitary,
     repeated_column_expansion,
     sample_batch,
     sample_permutation,
@@ -640,6 +641,32 @@ def test_sampler_matches_brute_force_small():
     assert pvalue > 0.001
 
 
+def test_collision_regime_fits_equal_mass_bins_and_rejects_distinguishable_bosons():
+    # (6, 10): 5,005 configurations sorted by exact probability and cut into 20
+    # bins of equal exact mass, so that no bin is sparse at 10,000 draws
+    u, n, bins, draws = haar_unitary(10, seed=3), 6, 20, 10_000
+    exact = brute_force_distribution(u, n)
+    configs = sorted(exact, key=exact.get)
+    p = np.array([exact[c] for c in configs])
+    cut = np.minimum((bins * (p.cumsum() - p)).astype(int), bins - 1)
+    bin_of = dict(zip(configs, cut.tolist()))
+    bin_mass = dict(enumerate(np.bincount(cut, weights=p, minlength=bins).tolist()))
+
+    def binned(configurations):
+        return Counter(bin_of[tuple(c)] for c in configurations)
+
+    batch = sample_batch(u, n, draws, master_seed=5)
+    _, chain_p = chi_square_fit(binned(s.configuration(u.dim).tolist() for s in batch.samples), bin_mass)
+    assert chain_p > 0.001
+    # the foil: boson i lands on port j with probability |U_ij|^2, independently
+    rng = np.random.default_rng(5)
+    landing = np.abs(u.matrix[:n]) ** 2
+    ports = np.stack([rng.choice(u.dim, size=draws, p=row / row.sum()) for row in landing], axis=1)
+    foil = (np.eye(u.dim, dtype=int)[ports].sum(axis=1)).tolist()
+    _, foil_p = chi_square_fit(binned(foil), bin_mass)
+    assert foil_p < 1e-6
+
+
 def test_first_port_marginal_identity():
     # the first sampled port has marginal (1/N) sum_k |U_kl|^2
     import scipy.stats
@@ -758,6 +785,29 @@ PORT_ENTRANCES = {
 def test_every_port_entrance_refuses_ports_out_of_range(what, port):
     with pytest.raises(ValueError, match=f"^{what} must lie in 1..3, got \\[{port}\\]$"):
         PORT_ENTRANCES[what](port)
+
+
+ROW_ORDER_ENTRANCES = {
+    "targets": permutation_unitary,
+    "pi": lambda pi: conditional_weights(U3, pi, [1]),
+}
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, 1], "be a permutation of 1..n, got \\[1, 1\\]$"),
+        ([0, 1], "be a permutation of 1..n, got \\[0, 1\\]$"),
+        ([1, 3], "be a permutation of 1..n, got \\[1, 3\\]$"),
+        ([1.5, 2], "hold integers only"),
+        ([True, 2], "hold integers only"),
+    ],
+    ids=["repeat", "zero", "gap", "fraction", "boolean"],
+)
+@pytest.mark.parametrize("what", ROW_ORDER_ENTRANCES)
+def test_every_row_order_entrance_refuses_non_permutations(what, values, message):
+    with pytest.raises(ValueError, match=f"^{what} must {message}"):
+        ROW_ORDER_ENTRANCES[what](values)
 
 
 @pytest.mark.parametrize(
