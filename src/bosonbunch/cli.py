@@ -65,9 +65,8 @@ def cmd_permanent(args) -> int:
     if args.method == "repeated":
         if not args.multiplicities:
             raise ValueError("--multiplicities is required for method 'repeated'")
-        tokens = args.multiplicities.split(",")
-        try:  # int() keeps whole tokens exact; the count gate judges "2.0" and "1.5"
-            mult = [int(t) if t.strip().lstrip("+-").isdecimal() else float(t) for t in tokens]
+        try:
+            mult = [float(t) for t in args.multiplicities.split(",")]
         except ValueError:
             raise ValueError(f"--multiplicities must be comma-separated numbers, got {args.multiplicities!r}") from None
         value, steps = repeated_column_expansion(matrix, mult)

@@ -86,7 +86,7 @@ def _check_permutation(values, what: str) -> list[int]:
     """``values`` as a list of ints; ValueError unless they are 1..n in some order."""
     perm = _integer_entries(values, what).tolist()
     if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"{what} must be a permutation of 1..n, got {perm}")
+        raise ValueError(f"{what} must be a permutation of 1..{len(perm)}, got {perm}")
     return perm
 
 

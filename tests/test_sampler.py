@@ -796,9 +796,9 @@ ROW_ORDER_ENTRANCES = {
 @pytest.mark.parametrize(
     "values, message",
     [
-        ([1, 1], "be a permutation of 1..n, got \\[1, 1\\]$"),
-        ([0, 1], "be a permutation of 1..n, got \\[0, 1\\]$"),
-        ([1, 3], "be a permutation of 1..n, got \\[1, 3\\]$"),
+        ([1, 1], "be a permutation of 1..2, got \\[1, 1\\]$"),
+        ([0, 1], "be a permutation of 1..2, got \\[0, 1\\]$"),
+        ([1, 3], "be a permutation of 1..2, got \\[1, 3\\]$"),
         ([1.5, 2], "hold integers only"),
         ([True, 2], "hold integers only"),
     ],
