@@ -61,6 +61,8 @@ def cmd_haar(args) -> int:
 
 
 def cmd_permanent(args) -> int:
+    if args.multiplicities is not None and args.method != "repeated":
+        raise ValueError(f"--multiplicities applies to method 'repeated' only, not {args.method!r}")
     matrix = load_matrix(args.matrix)
     if args.method == "repeated":
         if not args.multiplicities:
@@ -156,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--multiplicities",
         default=None,
-        help="comma-separated column repetition counts (method 'repeated')",
+        help="comma-separated column repetition counts (method 'repeated' only)",
     )
     p.set_defaults(handler=cmd_permanent)
 

@@ -11,7 +11,9 @@ one vectorised row product rather than a Python step; pinning the variable
 of a least-repeated column shrinks the enumeration by that column's factor.
 Each level of a table copies the last one per root, then adds in place; a
 larger enumeration refills one buffer per tuple of its remaining variables.
-Every entry gets the additions of plain broadcast sums, bit for bit.
+Every entry gets the additions of plain broadcast sums, bit for bit. The
+states' root products depend on the radices alone, so each pattern builds
+them once: 128 cached patterns of at most 64 KB, 8 MB at worst.
 
 Supported range: the naive sum to n = 10, Ryser and Glynn to n = 30, and
 every expansion route, the sampler's steps included, to 2**29 enumerated
@@ -143,6 +145,17 @@ def _root_steps(order: int) -> np.ndarray:
     return steps
 
 
+@lru_cache(maxsize=128)
+def _root_products(radices: tuple[int, ...]) -> np.ndarray:
+    """The variable products of an inner table's states: the Kronecker
+    product of its levels' roots of unity, in level order, read-only."""
+    p = np.ones(1, dtype=np.complex128)
+    for radix in radices:
+        p = (_unit_roots(radix)[:, None] * p).ravel()
+    p.flags.writeable = False
+    return p
+
+
 def _level_table(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The (K, r * S) table whose i-th block of S states is the (K, S) table
     ``t`` plus column i of the (K, r) ``shifts``: one copy of ``t`` per root,
@@ -163,13 +176,14 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
     ``radices[j]``-th roots of unity. With ``fix_minimal`` the variable of
     the first least-radix column is pinned to 1; the others are summed, so
     there are prod(summed radices) states. ``term`` receives chunks of them:
-    ``p[s]`` is the product of state s's variables and ``t[:, s]`` its K row
-    sums. The summed columns, sorted by radix, fill an inner table of at most
-    ``INNER_STATES`` states, one ``_level_table`` per column. Each tuple of
-    the remaining (outer) variables shifts that table once, into one buffer
-    that the call allocates once and refills per tuple, so ``term`` must not
-    keep its ``t`` past the call. More than 2**(GRAY_LIMIT - 1) states
-    raise ``ValueError`` before any table is built.
+    ``p[s]`` is the product of state s's variables (``p`` may be shared by
+    calls, read-only) and ``t[:, s]`` its K row sums. The summed columns,
+    sorted by radix, fill an inner table of at most ``INNER_STATES``
+    states, one ``_level_table`` per column. Each tuple of the remaining
+    (outer) variables shifts that table once, into one buffer that the call
+    allocates once and refills per tuple, so ``term`` must not keep its
+    ``t`` past the call. More than 2**(GRAY_LIMIT - 1) states raise
+    ``ValueError`` before any table is built.
     """
     n_rows = block.shape[0]
     fixed = radices.index(min(radices)) if fix_minimal else None
@@ -182,14 +196,12 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
         size *= radices[summed[n_inner]]
         n_inner += 1
 
-    p = np.ones(1, dtype=np.complex128)
+    p = _root_products(tuple(radices[j] for j in summed[:n_inner]))
     t = np.zeros((n_rows, 1), dtype=np.complex128)
     if fixed is not None:
         t[:, 0] = block[:, fixed]
     for j in summed[:n_inner]:
-        roots = _unit_roots(radices[j])
-        t = _level_table(t, block[:, j, None] * roots)
-        p = (roots[:, None] * p).ravel()
+        t = _level_table(t, block[:, j, None] * _unit_roots(radices[j]))
 
     outer = summed[n_inner:]
     if not outer:

@@ -115,6 +115,23 @@ def test_permanent_repeated_refuses_bad_multiplicities(tmp_path, capsys, tokens,
     assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("method", ["naive", "ryser", "glynn"])
+def test_permanent_refuses_multiplicities_outside_method_repeated(tmp_path, capsys, method):
+    path = tmp_path / "ones.json"
+    save_matrix(path, np.ones((2, 2), dtype=complex))
+    argv = ["permanent", "--matrix", str(path), "--method", method, "--multiplicities", "7,7"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--multiplicities applies to method 'repeated' only" in captured.err
+
+
+def test_permanent_repeated_output_is_pinned(tmp_path, capsys):
+    path = tmp_path / "block.json"
+    save_matrix(path, np.ones((3, 2), dtype=complex))
+    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,1"]) == 0
+    assert capsys.readouterr().out == "6-1.61539800405e-15j\ngray_steps: 2\n"
+
+
 def test_permanent_naive_guard_is_usage_error(tmp_path):
     path = tmp_path / "big.json"
     save_matrix(path, np.eye(11, dtype=complex))

@@ -22,6 +22,7 @@ from bosonbunch.permanent import (
     INNER_STATES,
     _expansion_sum,
     _level_table,
+    _root_products,
     _row_products,
     _unit_roots,
 )
@@ -245,6 +246,40 @@ def test_outer_tuples_refill_one_buffer_bit_for_bit(term):
         assert np.array_equal(p, p_ref) and np.array_equal(t, t_ref)
     want = sum(term(p, t) for p, t in chunks)
     assert np.asarray(total).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("radices", [(), (2,), (2, 2, 3), (3, 5, 17), (2, 2, 4, 16, 16)])
+def test_root_products_are_the_kronecker_chain_bit_for_bit(radices):
+    want = np.ones(1, dtype=complex)
+    for radix in radices:
+        want = np.multiply.outer(_unit_roots(radix), want).ravel()
+    got = _root_products(radices)
+    assert got.size == math.prod(radices) <= INNER_STATES
+    assert got.tobytes() == want.tobytes()
+
+
+def test_root_products_are_read_only_and_cannot_be_poisoned():
+    radices = [2, 3, 3, 4]
+    block = random_complex(np.random.default_rng(5), (sum(radices) - len(radices), len(radices)))
+    before = np.asarray(_expansion_sum(block, radices, True, _row_products)[0]).tobytes()
+
+    def overwrite(p, t):
+        p[:] = 0
+        return _row_products(p, t)
+
+    with pytest.raises(ValueError, match="read-only"):
+        _expansion_sum(block, radices, True, overwrite)
+    with pytest.raises(ValueError, match="read-only"):
+        _root_products((3, 3, 4))[0] = 0
+    assert np.asarray(_expansion_sum(block, radices, True, _row_products)[0]).tobytes() == before
+
+
+def test_root_products_cache_stays_within_its_bound():
+    maxsize = _root_products.cache_parameters()["maxsize"]
+    patterns = itertools.chain.from_iterable(itertools.product((2, 3, 4), repeat=n) for n in range(1, 6))
+    for radices in itertools.islice(patterns, maxsize + 20):
+        _root_products(radices)
+    assert _root_products.cache_info().currsize == maxsize
 
 
 ROUTES = {
@@ -487,3 +522,11 @@ def test_output_probability_bits_are_pinned(dim, golden):
     u = haar_unitary(dim, seed=2026)
     got = [(occ, float.hex(output_probability(u, occ))) for occ, _ in golden]
     assert got == golden
+
+
+def test_output_probability_bits_match_on_cold_and_warm_root_products():
+    u = haar_unitary(16, seed=2026)
+    for occ, _ in GOLDEN_16:
+        _root_products.cache_clear()
+        cold = float.hex(output_probability(u, occ))
+        assert float.hex(output_probability(u, occ)) == cold
