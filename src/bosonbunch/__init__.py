@@ -6,7 +6,6 @@ and quantifies the speedup with occupied-port statistics and operation-count
 bounds.
 """
 
-from .bench import scaling_report, trace_sample, write_scaling_csv
 from .errors import UnsupportedRegimeError
 from .matrices import (
     UNITARITY_TOLERANCE,
@@ -49,15 +48,20 @@ from .sampler import (
     PortSequence,
     SampleBatch,
     SampleOps,
-    brute_force_distribution,
-    chi_square_fit,
     conditional_weights,
     draw_sample,
     draw_sample_counted,
-    empirical_counts,
     sample_batch,
     sample_permutation,
+)
+from .validate import (
+    brute_force_distribution,
+    chi_square_fit,
+    empirical_counts,
+    scaling_report,
     total_variation_distance,
+    trace_sample,
+    write_scaling_csv,
 )
 
 __version__ = "0.1.0"

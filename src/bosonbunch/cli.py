@@ -26,11 +26,11 @@ from .permanent import (
     repeated_column_expansion,
 )
 from .portstats import occupied_ports_pmf, sampling_cost_bounds, solve_tail_crossings
-from .sampler import (
+from .sampler import sample_batch
+from .validate import (
     brute_force_distribution,
     chi_square_fit,
     empirical_counts,
-    sample_batch,
     total_variation_distance,
 )
 

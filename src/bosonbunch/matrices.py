@@ -148,28 +148,27 @@ def fingerprint(matrix) -> str:
     return h.hexdigest()
 
 
-def save_matrix(path, matrix, seed: int | None = None) -> None:
-    """Write a matrix as JSON: rows, cols, re/im entry grids, optional seed."""
-    if isinstance(matrix, UnitaryMatrix):
-        if seed is None:
-            seed = matrix.seed
-        a = matrix.matrix
-    else:
-        a = _as_complex_matrix(matrix)
+def save_matrix(path, matrix) -> None:
+    """Write a matrix as JSON: rows, cols, re/im entry grids, and the seed
+    of a ``UnitaryMatrix`` that has one."""
+    a = _matrix_of(matrix)
     doc = {
         "rows": a.shape[0],
         "cols": a.shape[1],
         "re": a.real.tolist(),
         "im": a.imag.tolist(),
     }
-    if seed is not None:
-        doc["seed"] = _check_count(seed, "seed", minimum=0)
+    if isinstance(matrix, UnitaryMatrix) and matrix.seed is not None:
+        doc["seed"] = matrix.seed
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp)
         fp.write("\n")
 
 
-def _parse_matrix_doc(doc) -> tuple[np.ndarray, int | None]:
+def _read_matrix_doc(path) -> tuple[np.ndarray, int | None]:
+    """The entry grid and seed of a matrix file; the grid is not gated."""
+    with open(path, "r", encoding="utf-8") as fp:
+        doc = json.load(fp)
     try:
         rows, cols, seed = doc["rows"], doc["cols"], doc.get("seed")
         re = np.asarray(doc["re"], dtype=np.float64)
@@ -183,18 +182,14 @@ def _parse_matrix_doc(doc) -> tuple[np.ndarray, int | None]:
         raise ValueError(
             f"entry grids {re.shape}/{im.shape} disagree with declared shape ({rows}, {cols})"
         )
-    return _as_complex_matrix(re + 1j * im), seed
+    return re + 1j * im, seed
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    a, _ = _parse_matrix_doc(doc)
-    return a
+    a, _ = _read_matrix_doc(path)
+    return _as_complex_matrix(a)
 
 
 def load_unitary(path) -> UnitaryMatrix:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    a, seed = _parse_matrix_doc(doc)
+    a, seed = _read_matrix_doc(path)
     return UnitaryMatrix(matrix=a, seed=seed)

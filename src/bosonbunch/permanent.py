@@ -121,7 +121,7 @@ def permanent_glynn(matrix) -> complex:
     ``repeated_column_expansion`` with every multiplicity one.
     """
     a = _as_square(matrix, GRAY_LIMIT, "permanent_glynn")
-    value, _ = repeated_column_expansion(a, [1] * a.shape[0])
+    value, _ = _repeated_permanent(a, [1] * a.shape[0])
     return value
 
 

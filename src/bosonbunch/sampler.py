@@ -21,26 +21,23 @@ chain finishes on the from-scratch expansion, which works in chunks of that
 size; ``conditional_weights`` always uses it, through the same step code with
 no table carried. A draw takes the row permutation from its generator (a
 ``numpy.random.Generator``), then N uniforms at once.
+
+This module holds only the chain; ``validate`` holds what checks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_boson_count, _check_count, _check_counts, _check_permutation, _check_ports
+from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots, output_probability
-
-BRUTE_FORCE_LIMIT = 100_000
-MIN_EXPECTED = 5.0
+from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "PortSequence",
     "SampleOps",
     "SampleBatch",
@@ -49,10 +46,6 @@ __all__ = [
     "draw_sample",
     "draw_sample_counted",
     "sample_batch",
-    "brute_force_distribution",
-    "empirical_counts",
-    "total_variation_distance",
-    "chi_square_fit",
 ]
 
 
@@ -241,22 +234,24 @@ class _PrefixTable:
         as the new slowest digit, so that the broadcast runs along the
         existing states; ``held`` when ``t`` already holds its column once.
         The variable of ``fix`` is set to 1 first: a summed port's digit-0
-        slice is read as a view, a new port's column is added to every state."""
+        slice is taken, a new port's column is added to every state; both
+        leave 2-D tables for the broadcast."""
         n = len(self.t)
-        t, p = self.t[:, None], self.p[None]
+        t, p = self.t, self.p
         if fix in self.axes:
             i = self.axes.index(fix)
             del self.axes[i]
             r = self.radices.pop(i)
             outer = math.prod(self.radices[:i])
-            t, p = self.t.reshape(n, outer, r, -1)[:, :, 0], self.p.reshape(outer, r, -1)[:, 0]
+            t = t.reshape(n, outer, r, -1)[:, :, 0].reshape(n, -1)
+            p = p.reshape(outer, r, -1)[:, 0].ravel()
         elif fix is not None:
-            t = (self.t + self.mp[:, fix, None])[:, None]
+            t = t + self.mp[:, fix, None]
         radix = self.counts[port] + 1
         roots = _unit_roots(radix)
         shifts = self.mp[:, port, None] * (_root_steps(radix) if held else roots)
-        self.t = (t[:, None] + shifts[:, :, None, None]).reshape(n, -1)
-        self.p = (roots[:, None, None] * p).ravel()
+        self.t = (t[:, None] + shifts[:, :, None]).reshape(n, -1)
+        self.p = (roots[:, None] * p).ravel()
         self.axes.insert(0, port)
         self.radices.insert(0, radix)
 
@@ -289,7 +284,6 @@ def _chain_sample(
     u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
 ) -> tuple[PortSequence, SampleOps]:
     m_ports = u.dim
-    n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     pi = sample_permutation(n_bosons, rng)
     uniforms = rng.random(n_bosons).tolist()
     table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
@@ -347,7 +341,9 @@ def draw_sample_counted(
     seed: int | None = None,
 ) -> tuple[PortSequence, SampleOps]:
     """Like draw_sample, also returning the operation counters."""
-    return _chain_sample(u, n_bosons, *_resolve_rng(rng, seed))
+    rng, seed = _resolve_rng(rng, seed)
+    n_bosons, _ = _check_boson_count(n_bosons, u.dim)
+    return _chain_sample(u, n_bosons, rng, seed)
 
 
 @dataclass(frozen=True)
@@ -405,102 +401,3 @@ def sample_batch(
         samples=tuple(samples),
         gray_steps=tuple(steps),
     )
-
-
-def brute_force_distribution(
-    u: UnitaryMatrix, n_bosons: int
-) -> dict[tuple[int, ...], float]:
-    """Exact output distribution by enumerating every configuration.
-
-    Refuses above BRUTE_FORCE_LIMIT configurations; this is the oracle the
-    sampler is validated against, so it stays deliberately independent of
-    the chain-rule machinery.
-    """
-    m_ports = u.dim
-    n_bosons, _ = _check_boson_count(n_bosons, m_ports)
-    n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)
-    if n_configs > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{n_configs} configurations exceed the enumeration limit {BRUTE_FORCE_LIMIT}"
-        )
-    out: dict[tuple[int, ...], float] = {}
-    for multiset in combinations_with_replacement(range(1, m_ports + 1), n_bosons):
-        config = np.bincount(np.asarray(multiset), minlength=m_ports + 1)[1:]
-        out[tuple(int(c) for c in config)] = output_probability(u, config)
-    return out
-
-
-def empirical_counts(batch: SampleBatch) -> dict[tuple[int, ...], int]:
-    """Configuration frequency table of a batch."""
-    counts: dict[tuple[int, ...], int] = {}
-    for seq in batch.samples:
-        key = tuple(int(c) for c in seq.configuration(batch.n_ports))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _check_probabilities(probabilities: Mapping[tuple, float]) -> None:
-    """ValueError unless the probabilities are numbers, none negative, whose
-    sum lies within 1e-9 of one (NaN and infinities fail one of these); exact
-    brute-force totals come within 1e-14."""
-    p = np.array(list(probabilities.values()), dtype=np.float64)
-    if p.ndim != 1 or not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):
-        raise ValueError(f"probabilities must be non-negative and sum to 1 within 1e-9, got {p.sum()}")
-
-
-def total_variation_distance(
-    counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]
-) -> float:
-    # Python ints: an int64 sum can overflow near 2**63
-    total = sum(_check_counts(list(counts.values()), "counts").tolist())
-    _check_probabilities(probabilities)
-    keys = set(counts) | set(probabilities)
-    return 0.5 * sum(
-        abs(counts.get(k, 0) / total - probabilities.get(k, 0.0)) for k in keys
-    )
-
-
-def chi_square_fit(
-    counts: Mapping[tuple, int],
-    probabilities: Mapping[tuple, float],
-) -> tuple[float, float]:
-    """Goodness-of-fit statistic and p-value of observed counts against an
-    exact distribution.
-
-    Bins with expected count below ``MIN_EXPECTED`` are pooled, the standard
-    validity fix for sparse cells. Any observation outside the support (or
-    in a zero-probability bin) is an immediate failure with p = 0.
-    """
-    total = sum(_check_counts(list(counts.values()), "counts").tolist())
-    _check_probabilities(probabilities)
-    if set(counts) - set(probabilities):
-        return math.inf, 0.0
-
-    f_obs: list[float] = []
-    f_exp: list[float] = []
-    pooled_obs = 0.0
-    pooled_exp = 0.0
-    for key, p in probabilities.items():
-        observed = counts.get(key, 0)
-        expected = p * total
-        if expected == 0.0:
-            if observed:
-                return math.inf, 0.0
-            continue
-        if expected < MIN_EXPECTED:
-            pooled_obs += observed
-            pooled_exp += expected
-        else:
-            f_obs.append(observed)
-            f_exp.append(expected)
-    if pooled_exp > 0.0:
-        f_obs.append(pooled_obs)
-        f_exp.append(pooled_exp)
-    if len(f_obs) < 2:
-        return 0.0, 1.0
-    from scipy import stats  # over a second to import, and only needed here
-
-    exp = np.asarray(f_exp)
-    exp *= total / exp.sum()
-    statistic, pvalue = stats.chisquare(np.asarray(f_obs), exp)
-    return float(statistic), float(pvalue)

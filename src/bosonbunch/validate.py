@@ -1,27 +1,34 @@
-"""Chain samples checked against their cost envelope, and the scaling sweep.
+"""Checks of the chain (``sampler`` holds only the chain): the brute-force
+oracle and the fit statistics against it, and the cost envelope and the
+scaling sweep on the chain's own counters, ``SampleOps``; none is defined here.
 
-The counters are the chain's own ``SampleOps``; this module defines none.
-An operation unit is one enumerated state's worth of row work (one addition
-and one multiplication per row). Envelope comparisons happen at exponent
-level (log2 counts) with the asymptotic constants taken as one, which leaves
-a documented slack of two bits on the lower side: the weight-evaluation
-work is M*K summed over steps (about half of M*N^2) and a realized prefix
-can shave one doubling off the final enumeration.
+The oracle enumerates every configuration through ``output_probability``
+and shares no step with the chain. An operation unit is one enumerated
+state's worth of row work (one addition and one multiplication per row).
+Envelope comparisons happen at exponent level (log2 counts) with the
+asymptotic constants taken as one, which leaves a documented slack of two
+bits on the lower side: the weight-evaluation work is M*K summed over steps
+(about half of M*N^2) and a realized prefix can shave one doubling off the
+final enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections import Counter
+from itertools import combinations_with_replacement
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import _check_count
+from .errors import _check_boson_count, _check_count, _check_counts
 from .matrices import UnitaryMatrix, haar_unitary
-from .permanent import cost_estimate
+from .permanent import cost_estimate, output_probability
 from .portstats import sampling_cost_bounds
-from .sampler import PortSequence, SampleOps, draw_sample_counted
+from .sampler import PortSequence, SampleBatch, SampleOps, draw_sample_counted
 
+BRUTE_FORCE_LIMIT = 100_000
+MIN_EXPECTED = 5.0
 LOWER_ENVELOPE_SLACK_LOG2 = 2.0
 # tail probability of the bound reports that scaling_report tabulates
 SCALING_EPSILON = 0.1
@@ -42,6 +49,11 @@ CSV_COLUMNS = (
 )
 
 __all__ = [
+    "BRUTE_FORCE_LIMIT",
+    "brute_force_distribution",
+    "empirical_counts",
+    "total_variation_distance",
+    "chi_square_fit",
     "trace_sample",
     "scaling_report",
     "write_scaling_csv",
@@ -50,6 +62,97 @@ __all__ = [
     "SCALING_EPSILON",
     "MAX_OP_UNITS",
 ]
+
+
+def brute_force_distribution(
+    u: UnitaryMatrix, n_bosons: int
+) -> dict[tuple[int, ...], float]:
+    """Exact output distribution by enumerating every configuration.
+
+    Refuses above BRUTE_FORCE_LIMIT configurations; this is the oracle the
+    sampler is validated against, so it stays deliberately independent of
+    the chain-rule machinery.
+    """
+    m_ports = u.dim
+    n_bosons, _ = _check_boson_count(n_bosons, m_ports)
+    n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)
+    if n_configs > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"{n_configs} configurations exceed the enumeration limit {BRUTE_FORCE_LIMIT}"
+        )
+    out: dict[tuple[int, ...], float] = {}
+    for multiset in combinations_with_replacement(range(1, m_ports + 1), n_bosons):
+        config = np.bincount(np.asarray(multiset), minlength=m_ports + 1)[1:]
+        out[tuple(int(c) for c in config)] = output_probability(u, config)
+    return out
+
+
+def empirical_counts(batch: SampleBatch) -> Counter[tuple[int, ...]]:
+    """Configuration frequency table of a batch."""
+    return Counter(tuple(seq.configuration(batch.n_ports).tolist()) for seq in batch.samples)
+
+
+def _check_probabilities(counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]) -> int:
+    """The total of ``counts`` through the count gate, as a Python int (an
+    int64 sum can overflow near 2**63); ValueError unless the probabilities are
+    non-negative numbers summing to one within 1e-9 (exact totals reach 1e-14)."""
+    total = sum(_check_counts(list(counts.values()), "counts").tolist())
+    p = np.array(list(probabilities.values()), dtype=np.float64)
+    if p.ndim != 1 or not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"probabilities must be non-negative and sum to 1 within 1e-9, got {p.sum()}")
+    return total
+
+
+def total_variation_distance(
+    counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]
+) -> float:
+    total = _check_probabilities(counts, probabilities)
+    keys = set(counts) | set(probabilities)
+    return 0.5 * sum(
+        abs(counts.get(k, 0) / total - probabilities.get(k, 0.0)) for k in keys
+    )
+
+
+def chi_square_fit(
+    counts: Mapping[tuple, int],
+    probabilities: Mapping[tuple, float],
+) -> tuple[float, float]:
+    """Goodness-of-fit statistic and p-value of observed counts against an
+    exact distribution.
+
+    Bins with expected count below ``MIN_EXPECTED`` are pooled, the standard
+    validity fix for sparse cells. A positive count on a configuration whose
+    probability is zero or missing is an immediate failure, (inf, 0.0); a
+    zero count there is ignored, as in the total variation distance.
+    """
+    total = _check_probabilities(counts, probabilities)
+    if any(n and not probabilities.get(k) for k, n in counts.items()):
+        return math.inf, 0.0
+
+    f_obs: list[float] = []
+    f_exp: list[float] = []
+    pooled_obs = 0.0
+    pooled_exp = 0.0
+    for key, p in probabilities.items():
+        observed = counts.get(key, 0)
+        expected = p * total
+        if expected < MIN_EXPECTED:
+            pooled_obs += observed
+            pooled_exp += expected
+        else:
+            f_obs.append(observed)
+            f_exp.append(expected)
+    if pooled_exp > 0.0:
+        f_obs.append(pooled_obs)
+        f_exp.append(pooled_exp)
+    if len(f_obs) < 2:
+        return 0.0, 1.0
+    from scipy import stats  # over a second to import, and only needed here
+
+    exp = np.asarray(f_exp)
+    exp *= total / exp.sum()
+    statistic, pvalue = stats.chisquare(np.asarray(f_obs), exp)
+    return float(statistic), float(pvalue)
 
 
 def _sample_envelope(n_bosons: int, n_ports: int, config: np.ndarray) -> tuple[int, int]:

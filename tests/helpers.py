@@ -39,3 +39,17 @@ def compositions(total, parts):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call is recorded; returns the list
+    of recorded argument tuples."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

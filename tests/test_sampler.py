@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,7 @@ from bosonbunch.sampler import (
     _PrefixTable,
     _row_leave_one_out,
 )
+from helpers import count_calls
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -604,6 +606,15 @@ def test_batch_is_reproducible_and_seed_indexed():
     assert c.samples == a.samples[:8]
 
 
+def test_every_draw_checks_the_boson_count_once(monkeypatch):
+    calls = count_calls(monkeypatch, sampler, "_check_boson_count")
+    u = haar_unitary(4, seed=1)
+    sample_batch(u, 3, 20, 1)
+    assert len(calls) == 1
+    draw_sample(u, 3, seed=1)
+    assert len(calls) == 2
+
+
 def test_batch_empty():
     u = haar_unitary(4, seed=41)
     batch = sample_batch(u, 2, 0, master_seed=3)
@@ -696,6 +707,19 @@ def test_port_sequences_are_exchangeable():
 def test_chi_square_fit_flags_off_support_observations():
     stat, p = chi_square_fit({(1, 1): 5}, {(2, 0): 0.5, (0, 2): 0.5})
     assert p == 0.0
+
+
+def test_fit_helpers_ignore_a_zero_count_outside_the_support():
+    counts, exact = {(1, 0): 50, (0, 1): 0}, {(1, 0): 1.0}
+    assert chi_square_fit(counts, exact) == (0.0, 1.0)
+    assert total_variation_distance(counts, exact) == 0.0
+
+
+@pytest.mark.parametrize(
+    "exact", [{(1, 0): 1.0}, {(1, 0): 1.0, (0, 1): 0.0}], ids=["missing", "zero-probability"]
+)
+def test_chi_square_fails_a_positive_count_outside_the_support(exact):
+    assert chi_square_fit({(1, 0): 50, (0, 1): 1}, exact) == (math.inf, 0.0)
 
 
 def test_total_variation_distance_empty_sample():
