@@ -9,11 +9,14 @@ of its radix (multiplicity + 1) and builds the row sums of every variable
 assignment in tables of at most ``INNER_STATES`` states, so a state costs
 one vectorised row product rather than a Python step; pinning the variable
 of a least-repeated column shrinks the enumeration by that column's factor.
-Each level of a table copies the last one per root, then adds in place; a
-larger enumeration refills one buffer per tuple of its remaining variables.
-Every entry gets the additions of plain broadcast sums, bit for bit. The
-states' root products depend on the radices alone, so each pattern builds
-them once: 128 cached patterns of at most 64 KB, 8 MB at worst.
+Each level of a table is one broadcast sum of the last level and the new
+column's shifts; a larger enumeration refills one buffer per tuple of its
+remaining variables. An expansion of more than ``UFUNC_BUFFER`` = 256 states
+runs under a numpy ufunc buffer of 256 elements (numpy's default is 8192)
+and restores the caller's size on return or error; a smaller one keeps the
+caller's. The buffer only changes how numpy walks the elements. The states'
+root products depend on the radices alone, so each pattern builds them
+once: 128 cached patterns of at most 64 KB, 8 MB at worst.
 
 Supported range: the naive sum to n = 10, Ryser and Glynn to n = 30, and
 every expansion route, the sampler's steps included, to 2**29 enumerated
@@ -43,6 +46,10 @@ NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
 # cap on the states of one expansion table: 4096 states of 30 rows is 2 MB
 INNER_STATES = 4096
+# ufunc buffer of an expansion, in elements: numpy's default 8192 copies the
+# short rows of a level's broadcast sum through it, 2.4-3.2x slower than adding
+# them in place; numpy 1.x needs a multiple of 16
+UFUNC_BUFFER = 256
 
 __all__ = [
     "CostEstimate",
@@ -158,14 +165,9 @@ def _root_products(radices: tuple[int, ...]) -> np.ndarray:
 
 def _level_table(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """The (K, r * S) table whose i-th block of S states is the (K, S) table
-    ``t`` plus column i of the (K, r) ``shifts``: one copy of ``t`` per root,
-    then an in-place add. Every entry takes the one addition of the
-    broadcast sum ``t[:, None, :] + shifts[:, :, None]``, so the bits are
-    the same, but numpy runs it 1.1-1.4x faster on large levels, where that
-    sum reads ``t`` through a stride-0 axis."""
-    new = t[:, None, :].repeat(shifts.shape[1], axis=1)
-    new += shifts[:, :, None]
-    return new.reshape(t.shape[0], -1)
+    ``t`` plus column i of the (K, r) ``shifts``: the level step of the
+    expansion and of the chain's carried table."""
+    return (t[:, None, :] + shifts[:, :, None]).reshape(t.shape[0], -1)
 
 
 def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool, term):
@@ -184,6 +186,12 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
     allocates once and refills per tuple, so ``term`` must not keep its
     ``t`` past the call. More than 2**(GRAY_LIMIT - 1) states raise
     ``ValueError`` before any table is built.
+
+    Past ``UFUNC_BUFFER`` states the call runs under that ufunc buffer and
+    restores the caller's size on return or error; smaller calls skip the
+    set and restore (2.3 us). The buffer keeps the bits of elementwise ops,
+    ``prod`` folds and BLAS dots, not of a pairwise ``add.reduce``: no
+    ``.sum()`` here or in ``term``.
     """
     n_rows = block.shape[0]
     fixed = radices.index(min(radices)) if fix_minimal else None
@@ -196,23 +204,28 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
         size *= radices[summed[n_inner]]
         n_inner += 1
 
-    p = _root_products(tuple(radices[j] for j in summed[:n_inner]))
-    t = np.zeros((n_rows, 1), dtype=np.complex128)
-    if fixed is not None:
-        t[:, 0] = block[:, fixed]
-    for j in summed[:n_inner]:
-        t = _level_table(t, block[:, j, None] * _unit_roots(radices[j]))
+    caller_buffer = np.setbufsize(UFUNC_BUFFER) if states > UFUNC_BUFFER else None
+    try:
+        p = _root_products(tuple(radices[j] for j in summed[:n_inner]))
+        t = np.zeros((n_rows, 1), dtype=np.complex128)
+        if fixed is not None:
+            t[:, 0] = block[:, fixed]
+        for j in summed[:n_inner]:
+            t = _level_table(t, block[:, j, None] * _unit_roots(radices[j]))
 
-    outer = summed[n_inner:]
-    if not outer:
-        return term(p, t), states
-    cols = block[:, outer]
-    shifted = np.empty_like(t)
-    total = 0
-    for xs in itertools.product(*(_unit_roots(radices[j]) for j in outer)):
-        np.add(t, (cols @ np.array(xs))[:, None], out=shifted)
-        total += term(p * math.prod(xs), shifted)
-    return total, states
+        outer = summed[n_inner:]
+        if not outer:
+            return term(p, t), states
+        cols = block[:, outer]
+        shifted = np.empty_like(t)
+        total = 0
+        for xs in itertools.product(*(_unit_roots(radices[j]) for j in outer)):
+            np.add(t, (cols @ np.array(xs))[:, None], out=shifted)
+            total += term(p * math.prod(xs), shifted)
+        return total, states
+    finally:
+        if caller_buffer is not None:
+            np.setbufsize(caller_buffer)
 
 
 def _row_products(p: np.ndarray, t: np.ndarray) -> complex:

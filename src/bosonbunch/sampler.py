@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _pinned_states, _root_steps, _unit_roots
+from .permanent import INNER_STATES, _expansion_sum, _level_table, _pinned_states, _root_steps, _unit_roots
 
 __all__ = [
     "PortSequence",
@@ -250,7 +250,7 @@ class _PrefixTable:
         radix = self.counts[port] + 1
         roots = _unit_roots(radix)
         shifts = self.mp[:, port, None] * (_root_steps(radix) if held else roots)
-        self.t = (t[:, None] + shifts[:, :, None]).reshape(n, -1)
+        self.t = _level_table(t, shifts)
         self.p = (roots[:, None] * p).ravel()
         self.axes.insert(0, port)
         self.radices.insert(0, radix)

@@ -15,6 +15,7 @@ final enumeration.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
@@ -95,9 +96,15 @@ def empirical_counts(batch: SampleBatch) -> Counter[tuple[int, ...]]:
 def _check_probabilities(counts: Mapping[tuple, int], probabilities: Mapping[tuple, float]) -> int:
     """The total of ``counts`` through the count gate, as a Python int (an
     int64 sum can overflow near 2**63); ValueError unless the probabilities are
-    non-negative numbers summing to one within 1e-9 (exact totals reach 1e-14)."""
+    real numbers (not strings, booleans, None or complex), non-negative and
+    summing to one within 1e-9 (exact totals reach 1e-14)."""
     total = sum(_check_counts(list(counts.values()), "counts").tolist())
-    p = np.array(list(probabilities.values()), dtype=np.float64)
+    values = list(probabilities.values())
+    # numpy parses "0.5" and True as floats, so look at the entries
+    bad = [v for v in values if not isinstance(v, numbers.Real) or isinstance(v, bool)]
+    if bad:
+        raise ValueError(f"probabilities must be real numbers, got {bad[0]!r}")
+    p = np.array(values, dtype=np.float64)
     if p.ndim != 1 or not ((p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9):
         raise ValueError(f"probabilities must be non-negative and sum to 1 within 1e-9, got {p.sum()}")
     return total

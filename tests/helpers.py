@@ -1,6 +1,11 @@
 """Shared test utilities."""
 
+import contextlib
+
 import numpy as np
+
+# numpy's default ufunc buffer, in elements
+DEFAULT_BUFFER = 8192
 
 
 def random_complex(rng, shape):
@@ -53,3 +58,14 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@contextlib.contextmanager
+def ufunc_buffer(size):
+    """Run the block under a numpy ufunc buffer of ``size`` elements and
+    restore the previous size after it, also when it raises."""
+    previous = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)

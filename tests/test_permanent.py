@@ -21,6 +21,7 @@ from bosonbunch import permanent
 from bosonbunch.errors import _integer_entries
 from bosonbunch.permanent import (
     INNER_STATES,
+    UFUNC_BUFFER,
     _expansion_sum,
     _level_table,
     _root_products,
@@ -28,7 +29,16 @@ from bosonbunch.permanent import (
     _unit_roots,
 )
 from bosonbunch.sampler import _leave_one_out
-from helpers import compositions, count_calls, expand_columns, partitions, random_complex, rel_err
+from helpers import (
+    DEFAULT_BUFFER,
+    compositions,
+    count_calls,
+    expand_columns,
+    partitions,
+    random_complex,
+    rel_err,
+    ufunc_buffer,
+)
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -207,8 +217,41 @@ def test_level_table_is_the_broadcast_sum_bit_for_bit(states, radix):
     rng = np.random.default_rng(1000 * radix + states)
     t = random_complex(rng, (9, states))
     shifts = random_complex(rng, (9, 1)) * _unit_roots(radix)
-    want = (t[:, None, :] + shifts[:, :, None]).reshape(9, -1)
-    assert np.array_equal(_level_table(t, shifts), want)
+    with ufunc_buffer(DEFAULT_BUFFER):
+        want = (t[:, None, :] + shifts[:, :, None]).reshape(9, -1)
+    for buffer in (DEFAULT_BUFFER, UFUNC_BUFFER):
+        with ufunc_buffer(buffer):
+            got = _level_table(t, shifts)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_expansions_restore_the_callers_ufunc_buffer():
+    u = haar_unitary(10, seed=4)
+    seen = []
+
+    def record(p, t):
+        seen.append(np.getbufsize())
+        return _row_products(p, t)
+
+    def fail(p, t):
+        raise RuntimeError("term failed")
+
+    block = random_complex(np.random.default_rng(4), (10, 10))
+    with ufunc_buffer(4096):
+        # 2**9 states run under the small buffer, 2**8 on the caller's
+        assert _expansion_sum(block, [2] * 10, True, record)[1] == 2**9 > UFUNC_BUFFER
+        assert _expansion_sum(block[:, :9], [2] * 9, True, record)[1] == 2**8 <= UFUNC_BUFFER
+        assert seen == [UFUNC_BUFFER, 4096] and np.getbufsize() == 4096
+        output_probability(u, [1] * 10)
+        assert np.getbufsize() == 4096
+        output_probability(u, [1] * 9 + [0])
+        assert np.getbufsize() == 4096
+        with pytest.raises(ValueError, match="exceed the supported"):
+            repeated_column_expansion(np.ones((31, 31)), [1] * 31)
+        assert np.getbufsize() == 4096
+        with pytest.raises(RuntimeError, match="term failed"):
+            _expansion_sum(block, [2] * 10, True, fail)
+        assert np.getbufsize() == 4096
 
 
 def _fresh_chunks(block, radices):

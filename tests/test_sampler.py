@@ -28,7 +28,7 @@ from bosonbunch import (
     total_variation_distance,
 )
 from bosonbunch import sampler
-from bosonbunch.permanent import INNER_STATES, _expansion_sum
+from bosonbunch.permanent import INNER_STATES, UFUNC_BUFFER, _expansion_sum
 from bosonbunch.sampler import (
     MASKED_LIMIT,
     _leave_one_out,
@@ -36,7 +36,7 @@ from bosonbunch.sampler import (
     _PrefixTable,
     _row_leave_one_out,
 )
-from helpers import count_calls
+from helpers import DEFAULT_BUFFER, count_calls, random_complex, ufunc_buffer
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -199,6 +199,41 @@ def test_leave_one_out_single_row_is_the_prefactor_sum(states):
     for out in (_masked_leave_one_out(p, t), _row_leave_one_out(p, t), _leave_one_out(p, t)):
         assert out.shape == (1,)
         assert out[0] == pytest.approx(p.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_leave_one_out_bits_do_not_depend_on_the_ufunc_buffer(k):
+    # a dropped table's steps run their leave-one-out products as the term of
+    # an expansion, under UFUNC_BUFFER; a carried table's run on the default
+    rng = np.random.default_rng(k)
+    for states in sorted({1, 2, 7, MASKED_LIMIT // (2 * k), MASKED_LIMIT // k}):
+        p = random_complex(rng, states)
+        t = random_complex(rng, (k, states))
+        # beamsplitter rows: row sums that cancel to exact zeros
+        zeroed = t.copy()
+        zeroed[::2] = 0
+        for table in (t, zeroed):
+            for form in (_masked_leave_one_out, _row_leave_one_out):
+                with ufunc_buffer(DEFAULT_BUFFER):
+                    want = form(p, table)
+                with ufunc_buffer(UFUNC_BUFFER):
+                    assert form(p, table).tobytes() == want.tobytes()
+
+
+def test_single_port_prefix_cdfs_are_pinned():
+    # a prefix on one port leaves one state (S = 1), where numpy runs the
+    # masked product's middle-axis fold with another complex multiply than at
+    # S > 1; the same fold down the outer axis changes these bytes
+    rng = np.random.default_rng(12)
+    mp = random_complex(rng, (9, 6))
+    digest = hashlib.sha256()
+    for script in ([0, 0, 0, 0, 1, 1, 2, 0, 3], [4, 4, 1, 4, 4, 1, 1, 5, 0]):
+        table = _PrefixTable(mp)
+        for k, q in enumerate(script, start=1):
+            cdf, steps = table.cdf(k)
+            digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
+            table.add(q)
+    assert digest.hexdigest() == "dc4b9dbe7a2482f0d8342065a8e8f904cfe2fc14f526c4aafacc585add58e99c"
 
 
 @pytest.mark.parametrize("k", [5, 9, 12])  # 80 and 1,152 masked entries; 12,288 on the row loop
@@ -753,8 +788,12 @@ def test_fit_helpers_refuse_bad_counts(counts, message):
         {(1, 0): 0.5, (0, 1): 0.6},
         {(1, 0): 0.5},
         {},
+        {(1, 0): "0.5", (0, 1): "0.5"},
+        {(1, 0): True, (0, 1): False},
+        {(1, 0): None, (0, 1): 1.0},
+        {(1, 0): 0.5 + 0j, (0, 1): 0.5},
     ],
-    ids=["negative", "nan", "infinite", "over-one", "under-one", "empty"],
+    ids=["negative", "nan", "infinite", "over-one", "under-one", "empty", "string", "boolean", "none", "complex"],
 )
 def test_fit_helpers_refuse_bad_probabilities(probabilities):
     counts = {(1, 0): 10, (0, 1): 10}
