@@ -58,10 +58,8 @@ from .validate import (
     brute_force_distribution,
     chi_square_fit,
     empirical_counts,
-    scaling_report,
     total_variation_distance,
     trace_sample,
-    write_scaling_csv,
 )
 
 __version__ = "0.1.0"

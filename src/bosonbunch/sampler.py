@@ -284,9 +284,9 @@ def _chain_sample(
     u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
 ) -> tuple[PortSequence, SampleOps]:
     m_ports = u.dim
-    pi = sample_permutation(n_bosons, rng)
+    perm = rng.permutation(n_bosons)  # sample_permutation's draw, n checked by the caller
     uniforms = rng.random(n_bosons).tolist()
-    table = _PrefixTable(u.matrix[np.asarray(pi) - 1])
+    table = _PrefixTable(u.matrix[perm])
 
     ports: list[int] = []
     per_step: list[int] = []
@@ -303,7 +303,7 @@ def _chain_sample(
         if k < n_bosons:
             table.add(pick)
 
-    seq = PortSequence(ports=tuple(ports), row_order=pi, seed=seed_note)
+    seq = PortSequence(ports=tuple(ports), row_order=tuple((perm + 1).tolist()), seed=seed_note)
     ops = SampleOps(per_step_gray=tuple(per_step), row_ops=row_ops, weight_ops=weight_ops)
     return seq, ops
 

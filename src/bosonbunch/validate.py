@@ -1,6 +1,6 @@
 """Checks of the chain (``sampler`` holds only the chain): the brute-force
-oracle and the fit statistics against it, and the cost envelope and the
-scaling sweep on the chain's own counters, ``SampleOps``; none is defined here.
+oracle and the fit statistics against it, and the cost envelope on the
+chain's own counters, ``SampleOps``; none is defined here.
 
 The oracle enumerates every configuration through ``output_probability``
 and shares no step with the chain. An operation unit is one enumerated
@@ -16,38 +16,21 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import Counter
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import _check_boson_count, _check_count, _check_counts
-from .matrices import UnitaryMatrix, haar_unitary
-from .permanent import cost_estimate, output_probability
-from .portstats import sampling_cost_bounds
+from .errors import _check_boson_count, _check_counts
+from .matrices import UnitaryMatrix
+from .permanent import output_probability
 from .sampler import PortSequence, SampleBatch, SampleOps, draw_sample_counted
 
 BRUTE_FORCE_LIMIT = 100_000
 MIN_EXPECTED = 5.0
 LOWER_ENVELOPE_SLACK_LOG2 = 2.0
-# tail probability of the bound reports that scaling_report tabulates
-SCALING_EPSILON = 0.1
-# per-sample op units of the worst configuration above which a point is refused
-MAX_OP_UNITS = 10**8
-
-CSV_COLUMNS = (
-    "N",
-    "M",
-    "rho",
-    "mean_log2_ops",
-    "max_log2_ops",
-    "t1_lower_log2",
-    "t1_upper_log2",
-    "t2_lower_log2",
-    "t2_upper_log2",
-    "baseline_log2",
-)
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -56,12 +39,7 @@ __all__ = [
     "total_variation_distance",
     "chi_square_fit",
     "trace_sample",
-    "scaling_report",
-    "write_scaling_csv",
-    "CSV_COLUMNS",
     "LOWER_ENVELOPE_SLACK_LOG2",
-    "SCALING_EPSILON",
-    "MAX_OP_UNITS",
 ]
 
 
@@ -128,9 +106,12 @@ def chi_square_fit(
     exact distribution.
 
     Bins with expected count below ``MIN_EXPECTED`` are pooled, the standard
-    validity fix for sparse cells. A positive count on a configuration whose
-    probability is zero or missing is an immediate failure, (inf, 0.0); a
-    zero count there is ignored, as in the total variation distance.
+    validity fix for sparse cells. The statistic is Pearson's, summed as
+    ``scipy.stats.chisquare`` sums it, and the p-value its upper tail with
+    one degree of freedom fewer than the bins. A positive count on a
+    configuration whose probability is zero or missing is an immediate
+    failure, (inf, 0.0); a zero count there is ignored, as in the total
+    variation distance.
     """
     total = _check_probabilities(counts, probabilities)
     if any(n and not probabilities.get(k) for k, n in counts.items()):
@@ -154,12 +135,42 @@ def chi_square_fit(
         f_exp.append(pooled_exp)
     if len(f_obs) < 2:
         return 0.0, 1.0
-    from scipy import stats  # over a second to import, and only needed here
-
     exp = np.asarray(f_exp)
     exp *= total / exp.sum()
-    statistic, pvalue = stats.chisquare(np.asarray(f_obs), exp)
-    return float(statistic), float(pvalue)
+    statistic = float(((np.asarray(f_obs, dtype=np.float64) - exp) ** 2 / exp).sum())
+    return statistic, _chi_square_sf(statistic, len(f_obs) - 1)
+
+
+def _chi_square_sf(statistic: float, dof: int) -> float:
+    """Upper tail of the chi-square distribution: the regularised upper
+    incomplete gamma Q(a, x) at a = dof / 2, x = statistic / 2, with the
+    factor x^a e^-x / Gamma(a) taken in log space. Below x = a + 1 it is one
+    minus the series of P (A&S 6.5.29), above it Lentz's continued fraction
+    for Q (A&S 6.5.31); a tail below the smallest double comes out 0."""
+    a, x = dof / 2, statistic / 2
+    if not x > 0.0:
+        return 1.0
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * eps:
+            n += 1.0
+            term *= x / n
+            total += term
+        return 1.0 - math.exp(log_front) * total
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1.0) > eps:
+        i += 1
+        an, b = i * (a - i), b + 2.0
+        d = 1.0 / (an * d + b or tiny)
+        c = b + an / c or tiny
+        delta = c * d
+        h *= delta
+    return math.exp(log_front + math.log(h))
 
 
 def _sample_envelope(n_bosons: int, n_ports: int, config: np.ndarray) -> tuple[int, int]:
@@ -195,67 +206,3 @@ def trace_sample(
             f" [{lower} / {int(2 ** LOWER_ENVELOPE_SLACK_LOG2)}, {upper}]"
         )
     return seq, ops
-
-
-def scaling_report(
-    n_values: Sequence[int],
-    m_rule: Callable[[int], int],
-    samples_per_point: int,
-    seed: int,
-) -> list[dict]:
-    """Sweep (N, M) points, sampling each and tabulating measured op counts
-    against the analytic bounds at tail probability ``SCALING_EPSILON`` and
-    the collision-free baseline N 2^(N-1).
-
-    A point whose worst (collision-free) configuration costs more than
-    ``MAX_OP_UNITS`` per sample is refused up front, quoting that estimate.
-    """
-    samples_per_point = _check_count(samples_per_point, "samples_per_point", minimum=0)
-    seed = _check_count(seed, "seed", minimum=0)
-    rows: list[dict] = []
-    for idx, n_bosons in enumerate(n_values):
-        n_ports = int(m_rule(n_bosons))
-        worst = cost_estimate([1] * n_bosons + [0] * max(0, n_ports - n_bosons))
-        expected_worst = worst.op_units + n_ports * n_bosons**2
-        if expected_worst > MAX_OP_UNITS:
-            raise ValueError(
-                f"point (N={n_bosons}, M={n_ports}) is infeasible: about"
-                f" {expected_worst} op units per sample (limit {MAX_OP_UNITS})"
-            )
-        unitary_seed = int(
-            np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0]
-        )
-        u = haar_unitary(n_ports, seed=unitary_seed)
-
-        op_units = []
-        gray_totals = []
-        for s in range(samples_per_point):
-            child = np.random.SeedSequence(entropy=seed, spawn_key=(idx, s + 1))
-            _, ops = trace_sample(u, n_bosons, rng=np.random.default_rng(child))
-            op_units.append(ops.op_units)
-            gray_totals.append(ops.gray_steps)
-
-        # the sampling report extends the probability report, so it holds both
-        bounds = sampling_cost_bounds(n_bosons, n_ports, SCALING_EPSILON)
-        rows.append(
-            {
-                "N": n_bosons,
-                "M": n_ports,
-                "rho": n_bosons / n_ports,
-                "mean_log2_ops": math.log2(float(np.mean(op_units))) if op_units else float("nan"),
-                "max_log2_ops": math.log2(float(np.max(op_units))) if op_units else float("nan"),
-                "t1_lower_log2": bounds.prob_lower_log2,
-                "t1_upper_log2": bounds.prob_upper_log2,
-                "t2_lower_log2": bounds.sample_lower_log2,
-                "t2_upper_log2": bounds.sample_upper_log2,
-                "baseline_log2": math.log2(n_bosons) + n_bosons - 1,
-                "mean_gray_steps": float(np.mean(gray_totals)) if gray_totals else float("nan"),
-            }
-        )
-    return rows
-
-
-def write_scaling_csv(rows: Sequence[dict], fp) -> None:
-    fp.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        fp.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in CSV_COLUMNS) + "\n")

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,11 +7,9 @@ from bosonbunch import (
     UnitaryMatrix,
     haar_unitary,
     sampling_cost_bounds,
-    scaling_report,
     trace_sample,
-    write_scaling_csv,
 )
-from bosonbunch.validate import CSV_COLUMNS, LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
+from bosonbunch.validate import LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -73,64 +70,31 @@ def test_trace_sample_within_sampling_bounds_envelope():
     assert outside <= 4  # 1% expected failures plus generous statistical room
 
 
+def _mean_gray_steps(n_bosons, m_ports, seed0, draws):
+    totals = []
+    for s in range(draws):
+        u = haar_unitary(m_ports, seed=seed0 + s)
+        _, ops = trace_sample(u, n_bosons, seed=s)
+        totals.append(ops.gray_steps)
+    return float(np.mean(totals))
+
+
 def test_bunching_speeds_up_sampling():
-    # equal boson count: unit density bunches more and must cost fewer
-    # gray steps on average than quarter density
+    # at equal boson count, denser ports bunch more and cost fewer gray steps
+    # on average; toward the collision-free limit the total over the chain's
+    # steps approaches 2^(N-1)
     n_bosons = 14
-    def mean_gray(m_ports, seed0):
-        totals = []
-        for s in range(30):
-            u = haar_unitary(m_ports, seed=seed0 + s)
-            _, ops = trace_sample(u, n_bosons, seed=s)
-            totals.append(ops.gray_steps)
-        return float(np.mean(totals))
-
-    assert mean_gray(n_bosons, 800) < mean_gray(4 * n_bosons, 900)
-
-
-def test_scaling_report_empty():
-    assert scaling_report([], lambda n: n, 5, seed=1) == []
-
-
-@pytest.mark.parametrize("field", ["samples_per_point", "seed"])
-@pytest.mark.parametrize("value", [1.5, "2", -1])
-def test_scaling_report_rejects_bad_counts(field, value):
-    kwargs = {"samples_per_point": 2, "seed": 1, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        scaling_report([4], lambda n: n, **kwargs)
-
-
-def test_scaling_report_zero_samples_gives_nan_rows():
-    (row,) = scaling_report([4], lambda n: n, 0, seed=1)
-    assert math.isnan(row["mean_log2_ops"]) and math.isnan(row["mean_gray_steps"])
-    assert scaling_report([4], lambda n: n, 2.0, seed=1.0) == scaling_report([4], lambda n: n, 2, seed=1)
-
-
-def test_scaling_report_columns_and_csv():
-    rows = scaling_report([6, 8], lambda n: 2 * n, 5, seed=3)
-    assert len(rows) == 2
-    for column in CSV_COLUMNS:
-        assert column in rows[0]
-    assert rows[0]["N"] == 6 and rows[0]["M"] == 12
-    assert rows[0]["t1_lower_log2"] <= rows[0]["t1_upper_log2"]
-    buf = io.StringIO()
-    write_scaling_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 3
+    means = [_mean_gray_steps(n_bosons, m_ports, seed0, 30)
+             for m_ports, seed0 in ((14, 800), (56, 900))]
+    assert means[0] < means[1], means
+    assert math.log2(means[-1]) > n_bosons - 3
 
 
 def test_scaling_report_approaches_no_collision_baseline():
+    # N = 10 from unit to sixteenfold port density: the mean gray steps rise
+    # with M, and the sparsest nears the collision-free 2^(N-1)
     n_bosons = 10
-    rows = []
-    for m_ports in (n_bosons, 4 * n_bosons, 16 * n_bosons):
-        rows.extend(scaling_report([n_bosons], lambda n: m_ports, 20, seed=9 + m_ports))
-    means = [row["mean_gray_steps"] for row in rows]
-    assert means[0] < means[1] < means[2]
-    # collision-free limit: one evaluation's gray steps approach 2^(N-1)
+    means = [_mean_gray_steps(n_bosons, m_ports, seed0, 20)
+             for m_ports, seed0 in ((10, 1000), (40, 1100), (160, 1200))]
+    assert means[0] < means[1] < means[2], means
     assert math.log2(means[2]) > n_bosons - 3
-
-
-def test_scaling_report_refuses_infeasible_points():
-    with pytest.raises(ValueError, match="op units"):
-        scaling_report([40], lambda n: n, 1, seed=1)

@@ -169,7 +169,7 @@ def test_sample_rejects_header_fields_that_are_not_counts(tmp_path, header, caps
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats costs over a second at import; only chi_square_fit needs it
+    # scipy is a test dependency only, and scipy.stats costs over a second at import
     src = os.path.dirname(os.path.dirname(bosonbunch.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, bosonbunch; print('scipy' in sys.modules)"
@@ -397,7 +397,11 @@ def test_bounds_rejects_bad_epsilon():
     assert main(["bounds", "-n", "20", "-m", "60", "--epsilon", "1.5"]) == 2
 
 
-def test_verify_beamsplitter_passes(beamsplitter_path, capsys):
+def test_verify_beamsplitter_passes(beamsplitter_path, monkeypatch, capsys):
+    # scipy is a test dependency only: with every import of it failing, the
+    # chi-square tail still comes out
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
     assert main(["verify", "--unitary", beamsplitter_path, "-n", "2", "--samples", "10000", "--seed", "4"]) == 0
     out = capsys.readouterr().out
     assert "tvd:" in out and "verdict: pass" in out

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from bosonbunch import (
     UnitaryMatrix,
@@ -36,6 +37,7 @@ from bosonbunch.sampler import (
     _PrefixTable,
     _row_leave_one_out,
 )
+from bosonbunch.validate import _chi_square_sf
 from helpers import DEFAULT_BUFFER, count_calls, random_complex, ufunc_buffer
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -643,11 +645,14 @@ def test_batch_is_reproducible_and_seed_indexed():
 
 def test_every_draw_checks_the_boson_count_once(monkeypatch):
     calls = count_calls(monkeypatch, sampler, "_check_boson_count")
+    count_checks = count_calls(monkeypatch, sampler, "_check_count")
     u = haar_unitary(4, seed=1)
     sample_batch(u, 3, 20, 1)
     assert len(calls) == 1
+    assert len(count_checks) == 2  # count and master_seed, never N per sample
     draw_sample(u, 3, seed=1)
     assert len(calls) == 2
+    assert len(count_checks) == 3  # the seed
 
 
 def test_batch_empty():
@@ -715,8 +720,6 @@ def test_collision_regime_fits_equal_mass_bins_and_rejects_distinguishable_boson
 
 def test_first_port_marginal_identity():
     # the first sampled port has marginal (1/N) sum_k |U_kl|^2
-    import scipy.stats
-
     u = haar_unitary(4, seed=60)
     n = 3
     batch = sample_batch(u, n, 30_000, master_seed=200)
@@ -806,6 +809,32 @@ def test_fit_helpers_accept_totals_within_the_tolerance():
     counts = {(1, 0): 10, (0, 1): 10}
     assert total_variation_distance(counts, {(1, 0): 0.5, (0, 1): 0.5 + 5e-10}) < 1e-9
     assert chi_square_fit(counts, {(1, 0): 0.5 - 5e-10, (0, 1): 0.5})[1] > 0.99
+
+
+def test_chi_square_statistic_is_scipys():
+    rng = np.random.default_rng(3)
+    p = 1.0 + rng.random(20)
+    p /= p.sum()
+    exact = {(i,): q for i, q in enumerate(p.tolist())}
+    counts = Counter((i,) for i in rng.choice(20, size=1000, p=p).tolist())
+    statistic, pvalue = chi_square_fit(counts, exact)
+    # every bin expects at least 25, so none is pooled
+    exp = p * 1000
+    exp *= 1000 / exp.sum()
+    reference = scipy.stats.chisquare([counts[(i,)] for i in range(20)], exp)
+    assert statistic == reference.statistic
+    assert pvalue == pytest.approx(reference.pvalue, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dofs, rel", [([*range(1, 21), 33, 64, 100, 333, 999, 1000], 1e-12), ([2000, 5000, 20000], 1e-10)]
+)
+def test_chi_square_tail_matches_scipy(dofs, rel):
+    p = np.concatenate([np.logspace(-250, -1, 60), np.linspace(0.1, 0.999, 20)])
+    for dof in dofs:
+        assert _chi_square_sf(0.0, dof) == 1.0
+        for x in scipy.stats.chi2.isf(p, dof).tolist():
+            assert _chi_square_sf(x, dof) == pytest.approx(scipy.stats.chi2.sf(x, dof), rel=rel), (x, dof)
 
 
 # ------------------------------------------------------------- input gates
