@@ -52,7 +52,6 @@ from .sampler import (
     draw_sample,
     draw_sample_counted,
     sample_batch,
-    sample_permutation,
 )
 from .validate import (
     brute_force_distribution,

@@ -86,20 +86,17 @@ class PortDistribution:
             fp.write(line + "\n")
 
 
-def _envelope_exact(n_bosons: int, n_ports: int, n: int) -> Fraction:
-    x = Fraction(n_bosons, n_bosons + n_ports)
-    return math.comb(n_ports, n) * x**n * (1 - x) ** (n_ports - n)
-
-
 def binomial_envelope(n_bosons: int, n_ports: int, n: int) -> float:
-    """Binomial term C(M, n) x^n (1-x)^(M-n) at x = rho / (1 + rho)."""
+    """Binomial term C(M, n) x^n (1-x)^(M-n) at x = rho / (1 + rho): up to
+    N + M = ``RATIONAL_LIMIT`` the integer ratio C(M, n) N^n M^(M-n) / (N + M)^M
+    correctly rounded, above it from log-gamma."""
     n_bosons = _check_count(n_bosons, "n_bosons")
     n_ports = _check_count(n_ports, "n_ports")
     n = _check_count(n, "n", minimum=0)
     if n > n_ports:
         raise ValueError(f"n must lie in 0..{n_ports}, got {n}")
     if n_bosons + n_ports <= RATIONAL_LIMIT:
-        return float(_envelope_exact(n_bosons, n_ports, n))
+        return math.comb(n_ports, n) * n_bosons**n * n_ports ** (n_ports - n) / (n_bosons + n_ports) ** n_ports
     log_x = math.log(n_bosons) - math.log(n_bosons + n_ports)
     log_1mx = math.log(n_ports) - math.log(n_bosons + n_ports)
     log_comb = (
@@ -182,7 +179,7 @@ def solve_tail_crossings(rho: float) -> tuple[float, float]:
     At rho = 1 both sides touch at the peak, so both half-widths are zero.
     Only densities 0 < rho <= 1 admit solutions.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     if rho > 1.0:
         raise UnsupportedRegimeError(
@@ -209,10 +206,10 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     the occupied-port count stays within (1 +- delta) N / (1 + rho) except
     with probability epsilon."""
     n_bosons = _check_count(n_bosons, "n_bosons")
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not 0.0 < epsilon < 1.0 or 2.0 / epsilon == math.inf:
+        raise ValueError(f"epsilon must lie in (0, 1) with 2 / epsilon finite, got {epsilon}")
     return 2.0 * math.sqrt((1.0 + rho) / n_bosons * math.log(2.0 / epsilon))
 
 
@@ -231,10 +228,12 @@ def max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:
     """Occupation level m = ln(N / (rho epsilon)) / ln((1 + rho) / rho) that
     the largest port occupation stays under with probability 1 - epsilon."""
     n_bosons = _check_count(n_bosons, "n_bosons")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must lie in (0, 1], got {rho}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    if rho > 1.0:
+        raise UnsupportedRegimeError(f"rho must lie in (0, 1], got {rho}")
+    if not 0.0 < epsilon < 1.0 or rho * epsilon == 0.0 or n_bosons / (rho * epsilon) == math.inf:
+        raise ValueError(f"epsilon must lie in (0, 1) with N / (rho epsilon) finite, got {epsilon}")
     return math.log(n_bosons / (rho * epsilon)) / math.log((1.0 + rho) / rho)
 
 

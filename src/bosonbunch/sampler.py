@@ -41,7 +41,6 @@ __all__ = [
     "PortSequence",
     "SampleOps",
     "SampleBatch",
-    "sample_permutation",
     "conditional_weights",
     "draw_sample",
     "draw_sample_counted",
@@ -83,12 +82,6 @@ class SampleOps:
     @property
     def op_units(self) -> int:
         return self.row_ops + self.weight_ops
-
-
-def sample_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Uniformly random ordering of 1..n; deterministic per generator state."""
-    n = _check_count(n, "n")
-    return tuple((rng.permutation(n) + 1).tolist())
 
 
 # Largest table (k rows times S states) that _leave_one_out reduces in one
@@ -224,18 +217,19 @@ class _PrefixTable:
             self.t = self.t + self.mp[:, q, None]
         elif self.counts[pin] == least:
             if q != pin:
-                self._spread(q, held=c > 0, fix=q if c else None)
+                self._spread(q, fix=q if c else None)
         else:
             self.pin = q if c == 0 else next(j for j in self.axes if self.counts[j] == least)
-            self._spread(pin, held=True, fix=self.pin)
+            self._spread(pin, fix=self.pin)
 
-    def _spread(self, port: int, held: bool, fix: int | None = None) -> None:
+    def _spread(self, port: int, fix: int | None) -> None:
         """Sum ``port``'s variable over the roots of unity of radix count + 1
         as the new slowest digit, so that the broadcast runs along the
-        existing states; ``held`` when ``t`` already holds its column once.
-        The variable of ``fix`` is set to 1 first: a summed port's digit-0
-        slice is taken, a new port's column is added to every state; both
-        leave 2-D tables for the broadcast."""
+        existing states. The variable of ``fix`` is set to 1 first: a summed
+        port's digit-0 slice is taken, a new port's column is added to every
+        state; both leave 2-D tables for the broadcast. A ``fix`` comes
+        exactly when ``port`` was the pin or is a repeat, so that ``t`` then
+        holds its column once and the broadcast adds the roots minus 1."""
         n = len(self.t)
         t, p = self.t, self.p
         if fix in self.axes:
@@ -249,7 +243,7 @@ class _PrefixTable:
             t = t + self.mp[:, fix, None]
         radix = self.counts[port] + 1
         roots = _unit_roots(radix)
-        shifts = self.mp[:, port, None] * (_root_steps(radix) if held else roots)
+        shifts = self.mp[:, port, None] * (roots if fix is None else _root_steps(radix))
         self.t = _level_table(t, shifts)
         self.p = (roots[:, None] * p).ravel()
         self.axes.insert(0, port)
@@ -284,19 +278,15 @@ def _chain_sample(
     u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
 ) -> tuple[PortSequence, SampleOps]:
     m_ports = u.dim
-    perm = rng.permutation(n_bosons)  # sample_permutation's draw, n checked by the caller
+    perm = rng.permutation(n_bosons)  # n checked by the caller; row_order records it
     uniforms = rng.random(n_bosons).tolist()
     table = _PrefixTable(u.matrix[perm])
 
     ports: list[int] = []
     per_step: list[int] = []
-    row_ops = 0
-    weight_ops = 0
     for k, r in enumerate(uniforms, start=1):
         cdf, gray = table.cdf(k)
         per_step.append(gray)
-        row_ops += k * (gray + 1)
-        weight_ops += m_ports * k
 
         pick = min(int(cdf.searchsorted(r * cdf[-1], side="right")), m_ports - 1)
         ports.append(pick + 1)
@@ -304,6 +294,8 @@ def _chain_sample(
             table.add(pick)
 
     seq = PortSequence(ports=tuple(ports), row_order=tuple((perm + 1).tolist()), seed=seed_note)
+    row_ops = sum(k * (gray + 1) for k, gray in enumerate(per_step, start=1))
+    weight_ops = m_ports * n_bosons * (n_bosons + 1) // 2
     ops = SampleOps(per_step_gray=tuple(per_step), row_ops=row_ops, weight_ops=weight_ops)
     return seq, ops
 

@@ -1,11 +1,28 @@
 """Shared test utilities."""
 
+import ast
 import contextlib
+import io
+import re
 
 import numpy as np
 
 # numpy's default ufunc buffer, in elements
 DEFAULT_BUFFER = 8192
+
+
+def platform_note():
+    """numpy's version and the SIMD extensions it found at run time, as the
+    message of a failed golden pin: the pinned bytes depend on which numpy
+    inner loop runs. Never raises."""
+    try:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            np.show_runtime()
+        simd = ast.literal_eval(re.search(r"'simd_extensions': (\{[^{}]*\})", text.getvalue()).group(1))
+    except Exception as exc:
+        simd = f"unknown ({type(exc).__name__})"
+    return f"numpy {np.__version__}, simd_extensions {simd}"
 
 
 def random_complex(rng, shape):

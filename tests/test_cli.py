@@ -14,6 +14,7 @@ import pytest
 import bosonbunch
 from bosonbunch import UnitaryMatrix, save_matrix
 from bosonbunch.cli import main
+from helpers import platform_note
 
 
 @pytest.fixture()
@@ -310,7 +311,7 @@ def test_sample_output_digest_is_pinned(tmp_path, fmt, count):
     args = ["sample", "--unitary", str(path), "-n", "12", "--count", str(count), "--seed", "77"]
     assert main(args + ["--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == SAMPLE_DIGESTS[fmt, count]
+    assert digest == SAMPLE_DIGESTS[fmt, count], platform_note()
 
 
 def test_sample_rejects_negative_count_without_output(four_port_path, tmp_path, capsys):
@@ -395,6 +396,18 @@ def test_bounds_stdout_is_pinned(capsys):
 
 def test_bounds_rejects_bad_epsilon():
     assert main(["bounds", "-n", "20", "-m", "60", "--epsilon", "1.5"]) == 2
+
+
+@pytest.mark.parametrize(
+    "n, m, epsilon",
+    [("3", "5", "1e-320"), ("2", "1000", "1e-306"), ("1", "1000000", "1e-320")],
+)
+def test_bounds_refuse_an_epsilon_too_small_to_bound(n, m, epsilon, capsys):
+    # 2 / epsilon or N / (rho epsilon) would overflow, or rho epsilon underflow to 0
+    assert main(["bounds", "-n", n, "-m", m, "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
 
 
 def test_verify_beamsplitter_passes(beamsplitter_path, monkeypatch, capsys):

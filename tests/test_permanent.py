@@ -35,6 +35,7 @@ from helpers import (
     count_calls,
     expand_columns,
     partitions,
+    platform_note,
     random_complex,
     rel_err,
     ufunc_buffer,
@@ -572,7 +573,7 @@ GOLDEN_5 = [
 def test_output_probability_bits_are_pinned(dim, golden):
     u = haar_unitary(dim, seed=2026)
     got = [(occ, float.hex(output_probability(u, occ))) for occ, _ in golden]
-    assert got == golden
+    assert got == golden, platform_note()
 
 
 def test_output_probability_bits_match_on_cold_and_warm_root_products():

@@ -143,6 +143,13 @@ def test_envelope_normalizes():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_bosons, n_ports", [(1, 1), (3, 5), (50, 100), (150, 250)])
+def test_envelope_is_correctly_rounded(n_bosons, n_ports):
+    for n in range(n_ports + 1):
+        exact = Fraction(math.comb(n_ports, n) * n_bosons**n * n_ports ** (n_ports - n), (n_bosons + n_ports) ** n_ports)
+        assert binomial_envelope(n_bosons, n_ports, n) == float(exact), n
+
+
 def test_envelope_large_arguments_use_log_space():
     value = binomial_envelope(300, 600, 200)
     assert 0 < value < 1
@@ -192,6 +199,8 @@ def test_crossings_reject_bad_density():
         solve_tail_crossings(1.5)
     with pytest.raises(ValueError):
         solve_tail_crossings(0.0)
+    with pytest.raises(ValueError, match="rho must be positive, got nan"):
+        solve_tail_crossings(math.nan)
 
 
 # ------------------------------------------------------------ tail half-width
@@ -218,7 +227,7 @@ def test_tail_half_width_scales_inverse_sqrt():
         tail_half_width(10, 0.5, 1.0)
 
 
-@pytest.mark.parametrize("rho", [math.nan, 0.0, -0.5])
+@pytest.mark.parametrize("rho", [math.nan, 0.0, -0.5, math.inf])
 def test_tail_half_width_rejects_non_positive_rho(rho):
     with pytest.raises(ValueError, match="rho must be positive"):
         tail_half_width(4, rho, 0.1)
@@ -255,6 +264,14 @@ def test_bunching_cutoff_monotone_in_epsilon():
 
 def test_bunching_cutoff_no_collision_limit_is_small():
     assert max_bunching_cutoff(50, 0.02, 0.05) < 4.0
+
+
+def test_bunching_cutoff_rejects_bad_density():
+    for rho in (math.nan, 0.0):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            max_bunching_cutoff(5, rho, 0.1)
+    with pytest.raises(UnsupportedRegimeError):
+        max_bunching_cutoff(5, 1.5, 0.1)
 
 
 # ------------------------------------------------------------------ the bounds

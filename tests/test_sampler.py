@@ -24,7 +24,6 @@ from bosonbunch import (
     permutation_unitary,
     repeated_column_expansion,
     sample_batch,
-    sample_permutation,
     submatrix,
     total_variation_distance,
 )
@@ -38,46 +37,9 @@ from bosonbunch.sampler import (
     _row_leave_one_out,
 )
 from bosonbunch.validate import _chi_square_sf
-from helpers import DEFAULT_BUFFER, count_calls, random_complex, ufunc_buffer
+from helpers import DEFAULT_BUFFER, count_calls, platform_note, random_complex, ufunc_buffer
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-
-
-# ------------------------------------------------------------- permutations
-
-
-def test_permutation_n1_is_identity():
-    rng = np.random.default_rng(0)
-    assert sample_permutation(1, rng) == (1,)
-
-
-@pytest.mark.parametrize("n", [2.5, np.nan, "2", None, 0])
-def test_permutation_rejects_bad_lengths(n):
-    with pytest.raises(ValueError, match="^n must"):
-        sample_permutation(n, np.random.default_rng(0))
-
-
-def test_permutation_integer_valued_length_draws_like_int():
-    reference = sample_permutation(5, np.random.default_rng(3))
-    assert sample_permutation(5.0, np.random.default_rng(3)) == reference
-    assert sample_permutation(np.int16(5), np.random.default_rng(3)) == reference
-
-
-def test_permutation_reproducible_per_seed():
-    a = sample_permutation(6, np.random.default_rng(5))
-    b = sample_permutation(6, np.random.default_rng(5))
-    assert a == b
-    assert sorted(a) == list(range(1, 7))
-
-
-def test_permutation_uniform_over_s3():
-    rng = np.random.default_rng(42)
-    draws = 60_000
-    counts = Counter(sample_permutation(3, rng) for _ in range(draws))
-    assert len(counts) == 6
-    three_sigma = 3 * np.sqrt((1 / 6) * (5 / 6) / draws)
-    for count in counts.values():
-        assert abs(count / draws - 1 / 6) < three_sigma
 
 
 # ------------------------------------------------------- conditional weights
@@ -235,7 +197,7 @@ def test_single_port_prefix_cdfs_are_pinned():
             cdf, steps = table.cdf(k)
             digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
             table.add(q)
-    assert digest.hexdigest() == "dc4b9dbe7a2482f0d8342065a8e8f904cfe2fc14f526c4aafacc585add58e99c"
+    assert digest.hexdigest() == "dc4b9dbe7a2482f0d8342065a8e8f904cfe2fc14f526c4aafacc585add58e99c", platform_note()
 
 
 @pytest.mark.parametrize("k", [5, 9, 12])  # 80 and 1,152 masked entries; 12,288 on the row loop
@@ -383,7 +345,7 @@ def test_carried_table_cdfs_are_pinned():
             cdf, steps = table.cdf(k)
             digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
             table.add(q)
-    assert digest.hexdigest() == "a837b3ac8ec6d18e246f56439ecbff09e9457e576b8fe0a7121ef9aa504b90d7"
+    assert digest.hexdigest() == "a837b3ac8ec6d18e246f56439ecbff09e9457e576b8fe0a7121ef9aa504b90d7", platform_note()
 
 
 @pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3)])
@@ -544,7 +506,7 @@ def test_paper_scale_chains_are_pinned():
         assert max(ops.per_step_gray) + 1 > INNER_STATES
         records.append([list(seq.ports), list(seq.row_order), list(ops.per_step_gray)])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "dca01673bd8f7c2706552053313a502d8ea45661f7fad75546a764cd47bd0419"
+    assert digest == "dca01673bd8f7c2706552053313a502d8ea45661f7fad75546a764cd47bd0419", platform_note()
 
 
 def test_identity_unitary_has_no_interference():
