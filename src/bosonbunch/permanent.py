@@ -11,12 +11,7 @@ one vectorised row product rather than a Python step; pinning the variable
 of a least-repeated column shrinks the enumeration by that column's factor.
 Each level of a table is one broadcast sum of the last level and the new
 column's shifts; a larger enumeration refills one buffer per tuple of its
-remaining variables. An expansion of more than ``UFUNC_BUFFER`` = 256 states
-runs under a numpy ufunc buffer of 256 elements (numpy's default is 8192)
-and restores the caller's size on return or error; a smaller one keeps the
-caller's. The buffer only changes how numpy walks the elements. The states'
-root products depend on the radices alone, so each pattern builds them
-once: 128 cached patterns of at most 64 KB, 8 MB at worst.
+remaining variables.
 
 Supported range: the naive sum to n = 10, Ryser and Glynn to n = 30, and
 every expansion route, the sampler's steps included, to 2**29 enumerated
@@ -155,7 +150,9 @@ def _root_steps(order: int) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _root_products(radices: tuple[int, ...]) -> np.ndarray:
     """The variable products of an inner table's states: the Kronecker
-    product of its levels' roots of unity, in level order, read-only."""
+    product of its levels' roots of unity, in level order, read-only. They
+    depend on the radices alone, so each pattern is built once: 128 cached
+    patterns of at most ``INNER_STATES`` entries (64 KB), 8 MB at worst."""
     p = np.ones(1, dtype=np.complex128)
     for radix in radices:
         p = (_unit_roots(radix)[:, None] * p).ravel()

@@ -135,7 +135,7 @@ def mean_occupied_ports(n_bosons: int, n_ports: int) -> float:
     """Average occupied-port count MN / (M + N - 1)."""
     n_bosons = _check_count(n_bosons, "n_bosons")
     n_ports = _check_count(n_ports, "n_ports")
-    return float(Fraction(n_ports * n_bosons, n_ports + n_bosons - 1))
+    return n_ports * n_bosons / (n_ports + n_bosons - 1)
 
 
 def entropy(z: float) -> float:
@@ -208,9 +208,12 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     n_bosons = _check_count(n_bosons, "n_bosons")
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not 0.0 < epsilon < 1.0 or 2.0 / epsilon == math.inf:
-        raise ValueError(f"epsilon must lie in (0, 1) with 2 / epsilon finite, got {epsilon}")
-    return 2.0 * math.sqrt((1.0 + rho) / n_bosons * math.log(2.0 / epsilon))
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    delta = 2.0 * math.sqrt((1.0 + rho) / n_bosons * math.log(2.0 / epsilon))
+    if not math.isfinite(delta):
+        raise ValueError(f"the half-width overflows at rho = {rho} and epsilon = {epsilon}")
+    return delta
 
 
 def max_occupation_cdf(n_bosons: int, n_ports: int, m: float) -> float:
@@ -294,7 +297,8 @@ def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> Boun
     delta = tail_half_width(n_bosons, rho, epsilon)
     radix = max(1.0, (1.0 + rho) / (1.0 + delta))
     log2_n = math.log2(n_bosons)
-    lower = log2_n + (1.0 - delta) * n_bosons / (1.0 + rho)
+    n_minus = (1.0 - delta) * n_bosons / (1.0 + rho)
+    lower = log2_n + n_minus
     upper = log2_n + n_bosons / radix * math.log2(1.0 + radix)
     return BoundsReport(
         n_bosons=n_bosons,
@@ -303,7 +307,7 @@ def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> Boun
         epsilon=epsilon,
         tail_half_width=delta,
         radix=radix,
-        n_minus=(1.0 - delta) * n_bosons / (1.0 + rho),
+        n_minus=n_minus,
         n_plus=(1.0 + delta) * n_bosons / (1.0 + rho),
         prob_lower_log2=lower,
         prob_upper_log2=upper,

@@ -14,13 +14,12 @@ taken again on accumulators divided by their largest modulus.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows, with one port's variable pinned at 1, and changes it by
-a single broadcast after each pick, a repeated port included. The pin stays
-while its count is the least, otherwise it moves to the new port, or else to
-the newest summed port with the least count. Past ``INNER_STATES`` states the
-chain finishes on the from-scratch expansion, which works in chunks of that
-size; ``conditional_weights`` always uses it, through the same step code with
-no table carried. A draw takes the row permutation from its generator (a
-``numpy.random.Generator``), then N uniforms at once.
+a single broadcast after each pick, a repeated port included. Past
+``INNER_STATES`` states the chain finishes on the from-scratch expansion,
+which works in chunks of that size; ``conditional_weights`` always uses it,
+through the same step code with no table carried. A draw takes the row
+permutation from its generator (a ``numpy.random.Generator``), then N
+uniforms at once.
 
 This module holds only the chain; ``validate`` holds what checks it.
 """
@@ -139,15 +138,14 @@ class _PrefixTable:
 
     ``mp`` holds the unitary's rows in chain order, so step k uses
     ``mp[:k]``. ``t`` has shape (N, S): the row sums of every state for all
-    N rows. A state gives each summed port (listed in ``axes``, newest
-    first, with its radix r = count + 1 in ``radices``) a variable over the
-    r-th roots of unity; the newest port's digit varies slowest. ``p`` has
-    shape (S,) and holds each state's variable product. The pinned port
-    sits in ``t`` with its variable fixed at 1, so there are S = prod(c + 1)
-    / min(c + 1) states. The pin stays while its count is the least,
-    otherwise it moves to the new port, or else to the newest summed port
-    with the least count. Each pick, a repeat included, costs one broadcast,
-    plus a column add when the pin moves to a new port. Once S would pass
+    N rows. A state gives each summed port a variable over the r-th roots
+    of unity, one digit of the state index. ``summed`` maps each summed port
+    to the radix r = count + 1 its digit was built with, oldest first, so
+    its last entry is the slowest digit. ``p`` has shape (S,) and holds each
+    state's variable product. The pinned port sits in ``t`` with its
+    variable fixed at 1, so there are S = prod(c + 1) / min(c + 1) states.
+    Each pick, a repeat included, costs one broadcast, plus a column add
+    when the pin moves to a new port. Once S would pass
     ``INNER_STATES`` the table is dropped (memory stays at most N x
     INNER_STATES entries) and ``accumulators`` expands the prefix afresh;
     ``t`` and ``p`` are then None and ``add`` only counts.
@@ -157,8 +155,7 @@ class _PrefixTable:
         self.mp = mp
         self.counts: dict[int, int] = {}
         self.pin: int | None = None
-        self.axes: list[int] = []
-        self.radices: list[int] = []
+        self.summed: dict[int, int] = {}
         self.t = np.zeros((mp.shape[0], 1), dtype=np.complex128)
         self.p = np.ones(1, dtype=np.complex128)
 
@@ -175,12 +172,6 @@ class _PrefixTable:
         radices = [self.counts[j] + 1 for j in occupied]
         acc, states = _expansion_sum(self.mp[:k, occupied], radices, True, _leave_one_out)
         return acc, states - 1
-
-    def weights(self, k: int) -> tuple[np.ndarray, int]:
-        """Unnormalized weights of the k-th port, squared unscaled, and the
-        step count."""
-        acc, steps = self.accumulators(k)
-        return self._squared(acc), steps
 
     def cdf(self, k: int) -> tuple[np.ndarray, int]:
         """Cumulative weights of the k-th port and the step count. A step
@@ -202,8 +193,9 @@ class _PrefixTable:
         return np.abs(acc @ self.mp[: len(acc)]) ** 2
 
     def add(self, q: int) -> None:
-        """Record one more boson at port ``q`` (0-based) and move the pin by
-        the rule above."""
+        """Record one more boson at port ``q`` (0-based). The pin stays while
+        its count is the least, otherwise it moves to ``q`` if ``q`` is new,
+        or else to the newest summed port with the least count."""
         c = self.counts.get(q, 0)
         self.counts[q] = c + 1
         if self.t is None:
@@ -219,7 +211,7 @@ class _PrefixTable:
             if q != pin:
                 self._spread(q, fix=q if c else None)
         else:
-            self.pin = q if c == 0 else next(j for j in self.axes if self.counts[j] == least)
+            self.pin = q if c == 0 else next(j for j in reversed(self.summed) if self.counts[j] == least)
             self._spread(pin, fix=self.pin)
 
     def _spread(self, port: int, fix: int | None) -> None:
@@ -232,11 +224,10 @@ class _PrefixTable:
         holds its column once and the broadcast adds the roots minus 1."""
         n = len(self.t)
         t, p = self.t, self.p
-        if fix in self.axes:
-            i = self.axes.index(fix)
-            del self.axes[i]
-            r = self.radices.pop(i)
-            outer = math.prod(self.radices[:i])
+        if fix in self.summed:
+            i = list(self.summed).index(fix)
+            r = self.summed.pop(fix)
+            outer = math.prod(list(self.summed.values())[i:])
             t = t.reshape(n, outer, r, -1)[:, :, 0].reshape(n, -1)
             p = p.reshape(outer, r, -1)[:, 0].ravel()
         elif fix is not None:
@@ -246,8 +237,7 @@ class _PrefixTable:
         shifts = self.mp[:, port, None] * (roots if fix is None else _root_steps(radix))
         self.t = _level_table(t, shifts)
         self.p = (roots[:, None] * p).ravel()
-        self.axes.insert(0, port)
-        self.radices.insert(0, radix)
+        self.summed[port] = radix
 
 
 def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[int]) -> np.ndarray:
@@ -270,8 +260,8 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     table.t = table.p = None
     for q in ports:
         table.add(q - 1)
-    weights, _ = table.weights(k)
-    return weights
+    acc, _ = table.accumulators(k)
+    return table._squared(acc)
 
 
 def _chain_sample(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_counts
 from .matrices import UnitaryMatrix
-from .permanent import output_probability
+from .permanent import cost_estimate, output_probability
 from .sampler import PortSequence, SampleBatch, SampleOps, draw_sample_counted
 
 BRUTE_FORCE_LIMIT = 100_000
@@ -178,10 +178,9 @@ def _sample_envelope(n_bosons: int, n_ports: int, config: np.ndarray) -> tuple[i
     occupied = config[config > 0]
     n_distinct = occupied.size
     max_occ = int(occupied.max())
-    prod_p1 = math.prod(int(m) + 1 for m in occupied)
     overhead = n_ports * n_bosons**2
     lower = n_bosons * 2**n_distinct + overhead
-    upper = (max_occ + 2) * n_bosons * prod_p1 + overhead
+    upper = (max_occ + 2) * n_bosons * cost_estimate(config).bunching_product + overhead
     return lower, upper
 
 

@@ -121,6 +121,10 @@ def test_mean_occupied_ports():
     dist = occupied_ports_pmf(7, 12)
     mean = float(sum(Fraction(n) * p for n, p in zip(dist.support(), dist.exact)))
     assert mean == pytest.approx(mean_occupied_ports(7, 12), abs=1e-12)
+    # the correctly rounded ratio MN / (M + N - 1)
+    for n_bosons, m_ports in [(1, 1), (7, 12), (50, 100)]:
+        exact = Fraction(m_ports * n_bosons, m_ports + n_bosons - 1)
+        assert mean_occupied_ports(n_bosons, m_ports) == float(exact)
 
 
 # ------------------------------------------------------------------- envelope
@@ -231,6 +235,16 @@ def test_tail_half_width_scales_inverse_sqrt():
 def test_tail_half_width_rejects_non_positive_rho(rho):
     with pytest.raises(ValueError, match="rho must be positive"):
         tail_half_width(4, rho, 0.1)
+
+
+@pytest.mark.parametrize(
+    "n_bosons, rho, epsilon",
+    # a finite rho and epsilon whose product overflows, then 2 / epsilon overflowing
+    [(1, 1e306, 1e-300), (3, 0.6, 1e-320)],
+)
+def test_tail_half_width_refuses_an_overflowing_width(n_bosons, rho, epsilon):
+    with pytest.raises(ValueError, match="rho = .* and epsilon = "):
+        tail_half_width(n_bosons, rho, epsilon)
 
 
 # ------------------------------------------------------------------- bunching

@@ -222,11 +222,11 @@ def test_overflowing_step_takes_the_rescaled_weights(k):
     table = _PrefixTable(mp)
     for q in range(k - 1):
         table.add(q)
+    acc, _ = table.accumulators(k)
     with np.errstate(over="ignore"):
-        assert np.isinf(table.weights(k)[0].sum())
+        assert np.isinf(table._squared(acc).sum())
     with pytest.warns(RuntimeWarning, match="overflow"):
         cdf, steps = table.cdf(k)
-    acc, _ = table.accumulators(k)
     assert steps == 2 ** (k - 2) - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
     assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp[:k]) ** 2).cumsum())
@@ -241,11 +241,11 @@ def test_dropped_table_step_that_overflows_is_retried():
     for q in range(14):
         table.add(q)
     assert table.t is None and 2**13 > INNER_STATES
+    acc, _ = table.accumulators(15)
     with np.errstate(over="ignore"):
-        assert np.isinf(table.weights(15)[0].sum())
+        assert np.isinf(table._squared(acc).sum())
     with pytest.warns(RuntimeWarning, match="overflow"):
         cdf, steps = table.cdf(15)
-    acc, _ = table.accumulators(15)
     assert steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
     assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum())
@@ -275,7 +275,8 @@ def test_step_with_all_weights_zero_raises():
     # the second row is zero, so every candidate port of step 2 has weight exactly 0
     table = _PrefixTable(np.array([[1, 0], [0, 0]], dtype=np.complex128))
     table.add(0)
-    assert not table.weights(2)[0].any()
+    acc, _ = table.accumulators(2)
+    assert not table._squared(acc).any()
     with pytest.raises(RuntimeError, match="conditional weights vanished"):
         table.cdf(2)
 
@@ -324,6 +325,11 @@ def test_carried_table_matches_fresh_expansion(script, pins):
             if pins is not None:
                 assert table.pin == pins[k - 1]
             assert counts[table.pin] == min(counts.values())
+            # the map holds every summed port's radix, and its digits span the table
+            assert table.t is not None
+            assert all(table.summed[j] == counts[j] + 1 for j in table.summed)
+            assert sorted([*table.summed, table.pin]) == sorted(counts)
+            assert math.prod(table.summed.values()) == table.p.size == table.t.shape[1]
 
 
 def test_carried_table_cdfs_are_pinned():
@@ -356,7 +362,8 @@ def test_chain_weights_match_conditional_weights(n, m, seed):
     counts = {}
     for k in range(1, n + 1):
         prefix = seq.ports[: k - 1]
-        weights, steps = table.weights(k)
+        acc, steps = table.accumulators(k)
+        weights = table._squared(acc)
         reference = conditional_weights(u, seq.row_order, prefix)
         _assert_same_ratios(weights, reference, 1e-12)
         assert steps == ops.per_step_gray[k - 1] == _model_steps(counts)
@@ -678,6 +685,23 @@ def test_collision_regime_fits_equal_mass_bins_and_rejects_distinguishable_boson
     foil = (np.eye(u.dim, dtype=int)[ports].sum(axis=1)).tolist()
     _, foil_p = chi_square_fit(binned(foil), bin_mass)
     assert foil_p < 1e-6
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_same_port_pairs_match_the_boson_value_past_brute_force(seed):
+    # (12, 24) is far past the brute-force oracle. The mean of sum_j n_j (n_j - 1)
+    # is exact: with P = |U[:N]|^2 and s its column sums, distinguishable
+    # particles give s.s - sum P^2 and bosons exactly twice that
+    u, n, draws = haar_unitary(24, seed=seed), 12, 1000
+    batch = sample_batch(u, n, draws, 11)
+    occupation = np.array([seq.configuration(u.dim) for seq in batch.samples])
+    pairs = (occupation * (occupation - 1)).sum(axis=1)
+    p = np.abs(u.matrix[:n]) ** 2
+    s = p.sum(axis=0)
+    distinguishable = s @ s - (p**2).sum()
+    standard_error = pairs.std(ddof=1) / math.sqrt(draws)
+    assert abs(pairs.mean() - 2 * distinguishable) / standard_error <= 5
+    assert (pairs.mean() - distinguishable) / standard_error >= 10
 
 
 def test_first_port_marginal_identity():
