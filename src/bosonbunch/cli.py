@@ -105,12 +105,13 @@ def cmd_dist(args) -> int:
     if args.plot_data and not args.out:
         raise ValueError("--plot-data needs --out to derive the figure file path")
     dist = occupied_ports_pmf(args.bosons, args.modes)
-    with _output(args.out) as out:
-        dist.write_csv(out)
-    if args.plot_data:
+    if args.plot_data:  # before any file opens, so a refused density writes none
         delta_minus, delta_plus = solve_tail_crossings(args.bosons / args.modes)
         scale = args.bosons / (1.0 + args.bosons / args.modes)
         regions = ((1.0 - delta_minus) * scale, (1.0 + delta_plus) * scale)
+    with _output(args.out) as out:
+        dist.write_csv(out)
+    if args.plot_data:
         fig_path = args.out + ".fig.csv"
         with open(fig_path, "w", encoding="utf-8") as fig:
             dist.write_csv(fig, regions=regions)

@@ -177,10 +177,12 @@ def solve_tail_crossings(rho: float) -> tuple[float, float]:
     The left root lies below the peak position 1 / (1 + rho) and the right
     root above it; each is found by bisection to residual 1e-12 or better.
     At rho = 1 both sides touch at the peak, so both half-widths are zero.
-    Only densities 0 < rho <= 1 admit solutions.
+    Only densities 2**-53 < rho <= 1 are solved.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
+    if 1.0 + rho == 1.0:  # the peak 1 / (1 + rho) would round to 1
+        raise ValueError(f"rho must exceed 2**-53 so that 1 + rho > 1, got {rho}")
     if rho > 1.0:
         raise UnsupportedRegimeError(
             f"the crossing equation has no solution for rho = {rho} > 1"

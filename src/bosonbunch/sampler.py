@@ -5,12 +5,9 @@ next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
 ports, and all K of them come out of one roots-of-unity expansion over the
-distinct prefix ports. A table of at most ``MASKED_LIMIT`` entries (K rows
-times states) takes every leave-one-out product in one masked reduction over
-K copies of itself, a larger one exclusive prefix and suffix products over
-its rows. Every step, on a carried table or a fresh expansion, squares its
-weights unscaled; a step whose total is not a positive finite number is
-taken again on accumulators divided by their largest modulus.
+distinct prefix ports. ``_leave_one_out`` picks how those products are
+taken, and ``_PrefixTable.weights`` squares a step's amplitudes and holds
+the rule for rescaling them.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows, with one port's variable pinned at 1, and changes it by
@@ -173,24 +170,21 @@ class _PrefixTable:
         acc, states = _expansion_sum(self.mp[:k, occupied], radices, True, _leave_one_out)
         return acc, states - 1
 
-    def cdf(self, k: int) -> tuple[np.ndarray, int]:
-        """Cumulative weights of the k-th port and the step count. A step
-        whose total is not a positive finite number (rows far from unitary,
-        where numpy also warns of the overflow) is taken again on its
-        accumulators divided by their largest modulus; a step raises only if
-        its weights vanish."""
+    def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Squared amplitudes of the k-th port, their running sum and the
+        step count. A step whose total is not a positive finite number (an
+        underflow on a long prefix, or rows far from unitary, where numpy
+        also warns of the overflow) is taken again on its accumulators
+        divided by their largest modulus; all-zero accumulators stay zero."""
         acc, steps = self.accumulators(k)
-        cdf = self._squared(acc).cumsum()
+        w = np.abs(acc @ self.mp[:k]) ** 2
+        cdf = w.cumsum()
         if not 0.0 < cdf[-1] < math.inf:
             scale = np.abs(acc).max()
             if scale > 0.0:
-                cdf = self._squared(acc / scale).cumsum()
-        if not cdf[-1] > 0.0:
-            raise RuntimeError("conditional weights vanished; cannot continue the chain")
-        return cdf, steps
-
-    def _squared(self, acc: np.ndarray) -> np.ndarray:
-        return np.abs(acc @ self.mp[: len(acc)]) ** 2
+                w = np.abs((acc / scale) @ self.mp[:k]) ** 2
+                cdf = w.cumsum()
+        return w, cdf, steps
 
     def add(self, q: int) -> None:
         """Record one more boson at port ``q`` (0-based). The pin stays while
@@ -247,7 +241,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     the 1-based ports already sampled. Entry l-1 is proportional to the
     probability that the next port is l; a constant common to all candidates
     is dropped, which is all the chain rule needs at a fixed step. The
-    weights are a chain step's, squared unscaled from a fresh expansion.
+    weights are a chain step's, rescaled like it, from a fresh expansion.
     """
     pi = _check_permutation(pi, "pi")
     n = len(pi)
@@ -260,8 +254,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     table.t = table.p = None
     for q in ports:
         table.add(q - 1)
-    acc, _ = table.accumulators(k)
-    return table._squared(acc)
+    return table.weights(k)[0]
 
 
 def _chain_sample(
@@ -275,7 +268,9 @@ def _chain_sample(
     ports: list[int] = []
     per_step: list[int] = []
     for k, r in enumerate(uniforms, start=1):
-        cdf, gray = table.cdf(k)
+        _, cdf, gray = table.weights(k)
+        if not cdf[-1] > 0.0:
+            raise RuntimeError("conditional weights vanished; cannot continue the chain")
         per_step.append(gray)
 
         pick = min(int(cdf.searchsorted(r * cdf[-1], side="right")), m_ports - 1)

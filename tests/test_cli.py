@@ -105,8 +105,9 @@ def test_permanent_repeated_reads_multiplicities_as_the_library_does(tmp_path, c
         ("1.5,1", "multiplicities must hold integers only"),
         ("a,1", "--multiplicities must be comma-separated numbers"),
         ("2,", "--multiplicities must be comma-separated numbers"),
+        ("", "--multiplicities is required for method 'repeated'"),
     ],
-    ids=["fraction", "word", "empty-token"],
+    ids=["fraction", "word", "empty-token", "empty"],
 )
 def test_permanent_repeated_refuses_bad_multiplicities(tmp_path, capsys, tokens, message):
     path = tmp_path / "block.json"
@@ -373,6 +374,13 @@ def test_dist_plot_data_without_out_writes_nothing(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--plot-data needs --out" in captured.err
+
+
+def test_dist_refuses_a_density_too_small_for_the_crossings(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["dist", "-n", "1", "-m", str(10**17), "--out", str(out), "--plot-data"]) == 2
+    assert "rho must exceed 2**-53" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dist_rejects_inverted_counts():

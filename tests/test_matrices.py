@@ -148,6 +148,8 @@ def test_submatrix_rejects_bad_input():
         submatrix(u, [1], [4])
     with pytest.raises(ValueError):
         submatrix(u, [1, 2], [2, 1])  # not sorted
+    with pytest.raises(ValueError, match="^row_indices and port_multiset must be non-empty$"):
+        submatrix(u, [], [1])
 
 
 @pytest.mark.parametrize(
@@ -244,6 +246,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"rows": 1, "cols": 2, "re": [[1, NaN]], "im": [[0, 0]]}')
     with pytest.raises(ValueError):
         load_matrix(path)
+    for doc in ('{"rows": 1, "cols": 1, "im": [[0]]}', "[[1, 0], [0, 1]]"):
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="^malformed matrix document"):
+            load_matrix(path)
 
 
 # a 1 x 1 unitary document whose header fields are overridden per case

@@ -382,6 +382,9 @@ def test_repeated_rejects_bad_shapes():
         permanent_repeated(np.ones((3, 2)), [2, 2])  # sums to 4, block has 3 rows
     with pytest.raises(ValueError):
         permanent_repeated(np.ones((3, 2)), [3, 0])
+    for shape in [(3,), (0, 0)]:
+        with pytest.raises(ValueError, match=r"^expected a non-empty 2-D matrix, got shape"):
+            permanent_glynn(np.ones(shape))
 
 
 # ------------------------------------------------------------------ cost model
@@ -493,6 +496,11 @@ def test_cost_and_expansion_reject_non_integer_counts():
         cost_estimate([1.5, 1])
     with pytest.raises(ValueError, match="integers"):
         repeated_column_expansion(np.ones((2, 2)), [1.9, 1])
+
+
+def test_output_probability_refuses_a_raw_array():
+    with pytest.raises(TypeError, match="^output_probability expects a UnitaryMatrix$"):
+        output_probability(haar_unitary(3, seed=2).matrix, [1, 1, 0])
 
 
 def test_output_probability_refuses_boolean_counts():

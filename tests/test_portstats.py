@@ -62,6 +62,8 @@ def test_pmf_rejects_bad_counts():
         occupied_ports_pmf(0, 5)
     with pytest.raises(UnsupportedRegimeError):
         occupied_ports_pmf(6, 5)
+    with pytest.raises(ValueError, match=r"^n must lie in 0\.\.4, got 5$"):
+        binomial_envelope(1, 4, 5)
 
 
 @pytest.mark.parametrize("n_bosons, n_ports", [(2.5, 4), (2, 4.5), (math.nan, 4), ("2", 4)])
@@ -205,6 +207,10 @@ def test_crossings_reject_bad_density():
         solve_tail_crossings(0.0)
     with pytest.raises(ValueError, match="rho must be positive, got nan"):
         solve_tail_crossings(math.nan)
+    # 1 + rho rounds to 1, so the peak 1 / (1 + rho) would close the right bracket
+    with pytest.raises(ValueError, match=r"^rho must exceed 2\*\*-53 so that 1 \+ rho > 1, got 1e-30$"):
+        solve_tail_crossings(1e-30)
+    assert solve_tail_crossings(2**-52) == (1.0, 2.220446049250313e-16)
 
 
 # ------------------------------------------------------------ tail half-width

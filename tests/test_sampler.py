@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from bosonbunch import sampler
 from bosonbunch.permanent import INNER_STATES, UFUNC_BUFFER, _expansion_sum
 from bosonbunch.sampler import (
     MASKED_LIMIT,
+    _chain_sample,
     _leave_one_out,
     _masked_leave_one_out,
     _PrefixTable,
@@ -82,6 +84,19 @@ def test_weights_match_naive_permanent_oracle():
         )
         oracle /= oracle.sum()
         assert np.allclose(w, oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("bosons", [20, 120])
+def test_single_port_prefix_weights_match_the_closed_form(bosons):
+    # L bosons on port q: the permanent over rows 1..L+1 is L! prod_i u_iq times
+    # sum_i u_il / u_iq, whose square cannot underflow; the unscaled product
+    # underflows to 0 at L = 120, so the weights must be rescaled like the chain's
+    u = haar_unitary(300, seed=1)
+    w = conditional_weights(u, range(1, 251), [1] * bosons)
+    assert 0.0 < w.sum() < math.inf
+    rows = u.matrix[: bosons + 1]
+    closed = np.abs((rows / rows[:, :1]).sum(axis=0)) ** 2
+    np.testing.assert_allclose(w / w.sum(), closed / closed.sum(), rtol=1e-9)
 
 
 def _per_row_expansion(block, counts):
@@ -194,7 +209,7 @@ def test_single_port_prefix_cdfs_are_pinned():
     for script in ([0, 0, 0, 0, 1, 1, 2, 0, 3], [4, 4, 1, 4, 4, 1, 1, 5, 0]):
         table = _PrefixTable(mp)
         for k, q in enumerate(script, start=1):
-            cdf, steps = table.cdf(k)
+            _, cdf, steps = table.weights(k)
             digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
             table.add(q)
     assert digest.hexdigest() == "dc4b9dbe7a2482f0d8342065a8e8f904cfe2fc14f526c4aafacc585add58e99c", platform_note()
@@ -224,9 +239,9 @@ def test_overflowing_step_takes_the_rescaled_weights(k):
         table.add(q)
     acc, _ = table.accumulators(k)
     with np.errstate(over="ignore"):
-        assert np.isinf(table._squared(acc).sum())
+        assert np.isinf((np.abs(acc @ mp[:k]) ** 2).sum())
     with pytest.warns(RuntimeWarning, match="overflow"):
-        cdf, steps = table.cdf(k)
+        _, cdf, steps = table.weights(k)
     assert steps == 2 ** (k - 2) - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
     assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp[:k]) ** 2).cumsum())
@@ -243,9 +258,9 @@ def test_dropped_table_step_that_overflows_is_retried():
     assert table.t is None and 2**13 > INNER_STATES
     acc, _ = table.accumulators(15)
     with np.errstate(over="ignore"):
-        assert np.isinf(table._squared(acc).sum())
+        assert np.isinf((np.abs(acc @ mp) ** 2).sum())
     with pytest.warns(RuntimeWarning, match="overflow"):
-        cdf, steps = table.cdf(15)
+        _, cdf, steps = table.weights(15)
     assert steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
     assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum())
@@ -266,19 +281,23 @@ def test_dropped_table_overflow_retry_expands_once(monkeypatch):
 
     monkeypatch.setattr(sampler, "_expansion_sum", counted)
     with pytest.warns(RuntimeWarning, match="overflow"):
-        cdf, steps = table.cdf(15)
+        _, cdf, steps = table.weights(15)
     assert len(calls) == 1 and steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
 
 
 def test_step_with_all_weights_zero_raises():
-    # the second row is zero, so every candidate port of step 2 has weight exactly 0
-    table = _PrefixTable(np.array([[1, 0], [0, 0]], dtype=np.complex128))
+    # the second row is zero, so every candidate port of step 2 has weight exactly 0,
+    # and a chain in either row order meets a step whose weights all vanish;
+    # UnitaryMatrix refuses such a row, so the chain gets a stand-in with the same fields
+    rows = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+    table = _PrefixTable(rows)
     table.add(0)
-    acc, _ = table.accumulators(2)
-    assert not table._squared(acc).any()
+    w, cdf, _ = table.weights(2)
+    assert not w.any() and cdf[-1] == 0.0
+    stand_in = SimpleNamespace(matrix=rows, dim=2)
     with pytest.raises(RuntimeError, match="conditional weights vanished"):
-        table.cdf(2)
+        _chain_sample(stand_in, 2, np.random.default_rng(0))
 
 
 def _model_steps(counts):
@@ -348,7 +367,7 @@ def test_carried_table_cdfs_are_pinned():
     for mp, script in chains:
         table = _PrefixTable(mp)
         for k, q in enumerate(script, start=1):
-            cdf, steps = table.cdf(k)
+            _, cdf, steps = table.weights(k)
             digest.update(cdf.tobytes() + steps.to_bytes(4, "little"))
             table.add(q)
     assert digest.hexdigest() == "a837b3ac8ec6d18e246f56439ecbff09e9457e576b8fe0a7121ef9aa504b90d7", platform_note()
@@ -362,8 +381,7 @@ def test_chain_weights_match_conditional_weights(n, m, seed):
     counts = {}
     for k in range(1, n + 1):
         prefix = seq.ports[: k - 1]
-        acc, steps = table.accumulators(k)
-        weights = table._squared(acc)
+        weights, _, steps = table.weights(k)
         reference = conditional_weights(u, seq.row_order, prefix)
         _assert_same_ratios(weights, reference, 1e-12)
         assert steps == ops.per_step_gray[k - 1] == _model_steps(counts)
