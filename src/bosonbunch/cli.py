@@ -1,5 +1,9 @@
 """Command-line surface: one binary, machine-readable output.
 
+This module alone knows the output formats: the field names, their order,
+and the CSV and JSON encodings of ``sample`` records and ``dist`` rows. The
+library returns values; one CSV line writer serves every table.
+
 Exit codes are stable: 0 success, 1 runtime or numeric failure, 2 usage or
 validation error.
 """
@@ -43,9 +47,9 @@ def _complex_str(value: complex) -> str:
     return f"{value.real + 0.0:.12g}{value.imag + 0.0:+.12g}j"
 
 
-def _csv_row(record: dict) -> str:
-    fields = (" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in record.values())
-    return ",".join(fields)
+def _csv_line(values) -> str:
+    """One CSV line: lists as space-separated items, anything else by ``str``."""
+    return ",".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in values) + "\n"
 
 
 def _output(path):
@@ -87,17 +91,28 @@ def cmd_permanent(args) -> int:
 def cmd_sample(args) -> int:
     u = load_unitary(args.unitary)
     batch = sample_batch(u, args.bosons, args.count, args.seed)
-    records = map(batch.record, range(len(batch.samples)))
+    header = {
+        "unitary_sha256": batch.unitary_sha256,
+        "n_bosons": batch.n_bosons,
+        "n_ports": batch.n_ports,
+        "master_seed": batch.master_seed,
+        "count": len(batch.samples),
+    }
+    fields = ("idx", "ports", "config", "ops")
+    rows = (
+        (i, list(seq.ports), seq.configuration(batch.n_ports).tolist(), ops)
+        for i, (seq, ops) in enumerate(zip(batch.samples, batch.gray_steps))
+    )
     with _output(args.out) as out:
-        if args.format == "json":
-            json.dump({**batch.header(), "samples": list(records)}, out)
+        if args.format == "csv":
+            out.write(_csv_line(fields))
+            out.writelines(map(_csv_line, rows))
+        elif args.format == "json":
+            json.dump({**header, "samples": [dict(zip(fields, row)) for row in rows]}, out)
             out.write("\n")
-        elif args.format == "jsonl":
-            out.write(json.dumps(batch.header()) + "\n")
-            out.writelines(json.dumps(record) + "\n" for record in records)
-        else:  # csv
-            out.write(",".join(batch.RECORD_FIELDS) + "\n")
-            out.writelines(_csv_row(record) + "\n" for record in records)
+        else:  # jsonl
+            out.write(json.dumps(header) + "\n")
+            out.writelines(json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
     return 0
 
 
@@ -105,16 +120,23 @@ def cmd_dist(args) -> int:
     if args.plot_data and not args.out:
         raise ValueError("--plot-data needs --out to derive the figure file path")
     dist = occupied_ports_pmf(args.bosons, args.modes)
-    if args.plot_data:  # before any file opens, so a refused density writes none
+    rows = list(zip(dist.support(), map(str, dist.exact), dist.pmf.tolist(), dist.envelope.tolist()))
+    # the exact column is formatted once, and every line before any output
+    # opens, so a refused density or a column past str()'s digit limit writes nothing
+    if args.plot_data:
         delta_minus, delta_plus = solve_tail_crossings(args.bosons / args.modes)
         scale = args.bosons / (1.0 + args.bosons / args.modes)
-        regions = ((1.0 - delta_minus) * scale, (1.0 + delta_plus) * scale)
+        n_minus, n_plus = (1.0 - delta_minus) * scale, (1.0 + delta_plus) * scale
+        tags = ("left-tail" if n <= n_minus else "right-tail" if n >= n_plus else "core" for n in dist.support())
+        figure = [_csv_line(("n", "P_exact", "P", "B", "region"))]
+        figure += [_csv_line((*row, tag)) for row, tag in zip(rows, tags)]
+    table = [_csv_line(("n", "P_exact", "P", "B")), *map(_csv_line, rows)]
     with _output(args.out) as out:
-        dist.write_csv(out)
+        out.writelines(table)
     if args.plot_data:
         fig_path = args.out + ".fig.csv"
         with open(fig_path, "w", encoding="utf-8") as fig:
-            dist.write_csv(fig, regions=regions)
+            fig.writelines(figure)
         print(f"figure series written to {fig_path}", file=sys.stderr)
     return 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -63,27 +62,8 @@ class PortDistribution:
     def support(self) -> range:
         return range(1, self.n_bosons + 1)
 
-    def rows(self) -> Iterator[tuple[int, Fraction, float, float]]:
-        for i, n in enumerate(self.support()):
-            yield n, self.exact[i], float(self.pmf[i]), float(self.envelope[i])
-
     def mode(self) -> int:
         return 1 + max(range(self.n_bosons), key=lambda i: self.exact[i])
-
-    def write_csv(self, fp, regions: tuple[float, float] | None = None) -> None:
-        """Emit n, P_exact, P, B rows; with ``regions`` = (n_minus, n_plus)
-        a fifth column tags each row left-tail / core / right-tail."""
-        header = "n,P_exact,P,B"
-        if regions is not None:
-            header += ",region"
-        fp.write(header + "\n")
-        for n, exact, pmf, env in self.rows():
-            line = f"{n},{exact},{pmf!r},{env!r}"
-            if regions is not None:
-                n_minus, n_plus = regions
-                tag = "left-tail" if n <= n_minus else "right-tail" if n >= n_plus else "core"
-                line += f",{tag}"
-            fp.write(line + "\n")
 
 
 def binomial_envelope(n_bosons: int, n_ports: int, n: int) -> float:

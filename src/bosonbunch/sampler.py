@@ -334,24 +334,6 @@ class SampleBatch:
     samples: tuple[PortSequence, ...]
     gray_steps: tuple[int, ...]
 
-    def header(self) -> dict:
-        return {
-            "unitary_sha256": self.unitary_sha256,
-            "n_bosons": self.n_bosons,
-            "n_ports": self.n_ports,
-            "master_seed": self.master_seed,
-            "count": len(self.samples),
-        }
-
-    # the keys of record(), in the order every output format writes them
-    RECORD_FIELDS = ("idx", "ports", "config", "ops")
-
-    def record(self, i: int) -> dict:
-        """The output record of sample ``i``, shared by every output format."""
-        seq = self.samples[i]
-        values = (i, list(seq.ports), seq.configuration(self.n_ports).tolist(), self.gray_steps[i])
-        return dict(zip(self.RECORD_FIELDS, values))
-
 
 def sample_batch(
     u: UnitaryMatrix, n_bosons: int, count: int, master_seed: int

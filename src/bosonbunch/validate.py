@@ -137,7 +137,8 @@ def chi_square_fit(
         return 0.0, 1.0
     exp = np.asarray(f_exp)
     exp *= total / exp.sum()
-    statistic = float(((np.asarray(f_obs, dtype=np.float64) - exp) ** 2 / exp).sum())
+    with np.errstate(over="ignore"):  # a bin expected near the smallest double overflows to inf
+        statistic = float(((np.asarray(f_obs, dtype=np.float64) - exp) ** 2 / exp).sum())
     return statistic, _chi_square_sf(statistic, len(f_obs) - 1)
 
 
@@ -146,10 +147,13 @@ def _chi_square_sf(statistic: float, dof: int) -> float:
     incomplete gamma Q(a, x) at a = dof / 2, x = statistic / 2, with the
     factor x^a e^-x / Gamma(a) taken in log space. Below x = a + 1 it is one
     minus the series of P (A&S 6.5.29), above it Lentz's continued fraction
-    for Q (A&S 6.5.31); a tail below the smallest double comes out 0."""
+    for Q (A&S 6.5.31); a tail below the smallest double, or an infinite
+    statistic, comes out 0."""
     a, x = dof / 2, statistic / 2
     if not x > 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     log_front = a * math.log(x) - x - math.lgamma(a)
     eps, tiny = sys.float_info.epsilon, sys.float_info.min
     if x < a + 1.0:

@@ -249,6 +249,22 @@ def test_sample_json_format(beamsplitter_path, capsys):
     assert len(doc["samples"]) == 3
 
 
+def test_sample_jsonl_header_and_record_fields(beamsplitter_path, capsys):
+    assert main(["sample", "--unitary", beamsplitter_path, "-n", "2", "--count", "4", "--seed", "9"]) == 0
+    header, *docs = map(json.loads, capsys.readouterr().out.splitlines())
+    assert list(header) == ["unitary_sha256", "n_bosons", "n_ports", "master_seed", "count"]
+    assert header["n_bosons"] == 2 and header["n_ports"] == 2
+    assert header["master_seed"] == 9 and header["count"] == 4
+    assert len(header["unitary_sha256"]) == 64
+    assert len(docs) == 4
+    for i, doc in enumerate(docs):
+        assert list(doc) == ["idx", "ports", "config", "ops"]
+        assert doc["idx"] == i
+        assert len(doc["ports"]) == 2
+        assert sum(doc["config"]) == 2
+        assert doc["ops"] >= 0
+
+
 def test_sample_formats_carry_the_same_records(tmp_path, capsys):
     path = tmp_path / "u4.json"
     save_matrix(path, bosonbunch.haar_unitary(4, seed=6))
@@ -380,6 +396,36 @@ def test_dist_refuses_a_density_too_small_for_the_crossings(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert main(["dist", "-n", "1", "-m", str(10**17), "--out", str(out), "--plot-data"]) == 2
     assert "rho must exceed 2**-53" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture()
+def str_digits_640():
+    # Python's smallest integer-to-string limit, so a 50-row table already passes it
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer-to-string digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+# the largest exact denominator has 673 digits
+PAST_THE_DIGIT_LIMIT = ["dist", "-n", "50", "-m", str(10**15)]
+
+
+def test_dist_past_the_digit_limit_writes_nothing_to_stdout(str_digits_640, capsys):
+    assert main(PAST_THE_DIGIT_LIMIT) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Exceeds the limit (640 digits)" in captured.err
+
+
+def test_dist_past_the_digit_limit_creates_no_file(str_digits_640, tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(PAST_THE_DIGIT_LIMIT + ["--out", str(out)]) == 2
+    assert main(PAST_THE_DIGIT_LIMIT + ["--out", str(out), "--plot-data"]) == 2
+    assert "Exceeds the limit (640 digits)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

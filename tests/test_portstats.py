@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 from fractions import Fraction
@@ -417,13 +416,3 @@ def test_occupied_port_counts_match_pmf_over_haar_ensemble():
     expected = occupied_ports_pmf(n_bosons, m_ports).pmf * counts.sum()
     _, pvalue = scipy.stats.chisquare(counts, expected * counts.sum() / expected.sum())
     assert pvalue > 0.001
-
-
-def test_csv_rows():
-    dist = occupied_ports_pmf(2, 2)
-    buf = io.StringIO()
-    dist.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "n,P_exact,P,B"
-    assert lines[1].startswith("1,2/3,")
-    assert lines[2].startswith("2,1/3,")

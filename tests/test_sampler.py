@@ -646,24 +646,6 @@ def test_batch_empty():
     u = haar_unitary(4, seed=41)
     batch = sample_batch(u, 2, 0, master_seed=3)
     assert batch.samples == ()
-    assert batch.header()["count"] == 0  # header only
-    with pytest.raises(IndexError):
-        batch.record(0)
-
-
-def test_batch_jsonl_format():
-    batch = sample_batch(BEAMSPLITTER, 2, 4, master_seed=9)
-    header = json.loads(json.dumps(batch.header()))
-    assert header["n_bosons"] == 2 and header["n_ports"] == 2
-    assert header["master_seed"] == 9 and header["count"] == 4
-    assert len(header["unitary_sha256"]) == 64
-    for i in range(header["count"]):
-        doc = json.loads(json.dumps(batch.record(i)))
-        assert tuple(doc) == batch.RECORD_FIELDS
-        assert doc["idx"] == i
-        assert len(doc["ports"]) == 2
-        assert sum(doc["config"]) == 2
-        assert doc["ops"] >= 0
 
 
 # ----------------------------------------------------- distribution validation
@@ -762,6 +744,15 @@ def test_fit_helpers_ignore_a_zero_count_outside_the_support():
 )
 def test_chi_square_fails_a_positive_count_outside_the_support(exact):
     assert chi_square_fit({(1, 0): 50, (0, 1): 1}, exact) == (math.inf, 0.0)
+
+
+def test_chi_square_overflowing_statistic_has_p_zero():
+    # the pooled bin expects 21 * 5e-324, so (1 - e)^2 / e overflows to inf
+    counts = {(2, 0): 10, (0, 2): 10, (1, 1): 1}
+    statistic, pvalue = chi_square_fit(counts, {(2, 0): 0.5, (0, 2): 0.5, (1, 1): 5e-324})
+    with np.errstate(over="ignore"):
+        reference = scipy.stats.chisquare([10, 10, 1], [10.5, 10.5, 21 * 5e-324])
+    assert (statistic, pvalue) == (reference.statistic, reference.pvalue) == (math.inf, 0.0)
 
 
 def test_total_variation_distance_empty_sample():
