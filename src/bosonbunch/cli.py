@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

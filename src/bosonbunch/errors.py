@@ -12,6 +12,8 @@ import operator
 
 import numpy as np
 
+__all__ = ["UnsupportedRegimeError"]
+
 
 class UnsupportedRegimeError(ValueError):
     """Raised when a computation is requested for more bosons than ports.

@@ -59,8 +59,10 @@ class PortSequence:
     seed: object = None
 
     def configuration(self, n_ports: int) -> np.ndarray:
-        """Collapse to the per-port occupation vector of length ``n_ports``."""
-        return np.bincount(np.asarray(self.ports), minlength=n_ports + 1)[1:]
+        """Collapse to the per-port occupation vector of length ``n_ports``;
+        ValueError when a port lies outside 1..``n_ports``."""
+        ports = _check_ports(self.ports, "ports", n_ports)
+        return np.bincount(ports, minlength=n_ports + 1)[1:]
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from bosonbunch import (
+    SampleOps,
     UnitaryMatrix,
+    draw_sample_counted,
     haar_unitary,
     sampling_cost_bounds,
     trace_sample,
+    validate,
 )
 from bosonbunch.validate import LOWER_ENVELOPE_SLACK_LOG2, _sample_envelope
 
@@ -49,6 +52,16 @@ def test_trace_sample_respects_realized_envelope():
         lower, upper = _sample_envelope(8, 8, seq.configuration(8))
         assert ops.op_units <= upper
         assert ops.op_units * 2**LOWER_ENVELOPE_SLACK_LOG2 >= lower
+
+
+@pytest.mark.parametrize("row_ops", [0, 10**12])
+def test_trace_sample_refuses_counters_outside_the_envelope(row_ops, monkeypatch):
+    u = haar_unitary(5, seed=5)
+    seq, ops = draw_sample_counted(u, 3, seed=0)
+    escaped = SampleOps(ops.per_step_gray, row_ops=row_ops, weight_ops=0)
+    monkeypatch.setattr(validate, "draw_sample_counted", lambda *args: (seq, escaped))
+    with pytest.raises(RuntimeError, match=f"^sample op units {row_ops} escaped the realized envelope"):
+        trace_sample(u, 3, seed=0)
 
 
 def test_trace_sample_within_sampling_bounds_envelope():

@@ -1,4 +1,3 @@
-import ast
 import hashlib
 import importlib
 import json
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import bosonbunch
-from bosonbunch import UnitaryMatrix, save_matrix
+from bosonbunch import UnitaryMatrix, cli, save_matrix
 from bosonbunch.cli import main
 from helpers import platform_note
 
@@ -188,18 +187,15 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"bosonbunch.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"bosonbunch.{info.name}.__all__ names missing {name!r}"
-    with open(bosonbunch.__file__, encoding="utf-8") as fp:
-        tree = ast.parse(fp.read())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
-        assert hasattr(importlib.import_module(f"bosonbunch.{module}"), name)
-        assert hasattr(bosonbunch, name)
+    # the package re-exports each module's __all__ and declares no name itself
+    modules = ("errors", "matrices", "permanent", "portstats", "sampler", "validate")
+    declared = [name for m in modules for name in importlib.import_module(f"bosonbunch.{m}").__all__]
+    assert bosonbunch.__all__ == declared
+    assert len(set(declared)) == len(declared), "a public name is declared by two modules"
+    star = {}
+    exec("from bosonbunch import *", star)
+    for name in declared:
+        assert star[name] is getattr(bosonbunch, name)
 
 
 def test_permanent_missing_file_is_usage_error(tmp_path):
@@ -229,6 +225,17 @@ def test_sample_fixed_seed_is_byte_identical(beamsplitter_path, tmp_path):
             ["sample", "--unitary", beamsplitter_path, "-n", "2", "--count", "50", "--seed", "9", "--out", str(out)]
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sample_runtime_failure_exits_one_with_no_output(beamsplitter_path, monkeypatch, capsys):
+    def diverge(*args):
+        raise RuntimeError("the chain diverged")
+
+    monkeypatch.setattr(cli, "sample_batch", diverge)
+    assert main(["sample", "--unitary", beamsplitter_path, "-n", "2", "--count", "3", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "failure: the chain diverged\n"
 
 
 def test_sample_csv_format(beamsplitter_path, capsys):

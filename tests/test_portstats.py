@@ -22,6 +22,7 @@ from bosonbunch import (
     solve_tail_crossings,
     tail_half_width,
 )
+from bosonbunch.portstats import _bisect
 
 
 # -------------------------------------------------------------------- the pmf
@@ -210,6 +211,11 @@ def test_crossings_reject_bad_density():
     with pytest.raises(ValueError, match=r"^rho must exceed 2\*\*-53 so that 1 \+ rho > 1, got 1e-30$"):
         solve_tail_crossings(1e-30)
     assert solve_tail_crossings(2**-52) == (1.0, 2.220446049250313e-16)
+
+
+def test_bisect_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(RuntimeError, match=r"^no sign change on \[0\.0, 1\.0\]$"):
+        _bisect(lambda x: x + 1.0, 0.0, 1.0)
 
 
 # ------------------------------------------------------------ tail half-width

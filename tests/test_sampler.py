@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from bosonbunch import (
+    PortSequence,
     UnitaryMatrix,
     UnsupportedRegimeError,
     brute_force_distribution,
@@ -646,6 +647,14 @@ def test_batch_empty():
     u = haar_unitary(4, seed=41)
     batch = sample_batch(u, 2, 0, master_seed=3)
     assert batch.samples == ()
+
+
+@pytest.mark.parametrize("ports", [(5, 2, 2), (0, 2)])
+def test_configuration_refuses_a_port_outside_the_range(ports):
+    # bincount alone would lengthen the vector for port 5 and drop port 0
+    seq = PortSequence(ports, tuple(range(1, len(ports) + 1)))
+    with pytest.raises(ValueError, match=r"^ports must lie in 1\.\.3, got "):
+        seq.configuration(3)
 
 
 # ----------------------------------------------------- distribution validation
