@@ -52,7 +52,6 @@ __all__ = [
     "permanent_ryser",
     "permanent_glynn",
     "repeated_column_expansion",
-    "permanent_repeated",
     "cost_estimate",
     "output_probability",
 ]
@@ -270,13 +269,6 @@ def repeated_column_expansion(
         )
     value, states = _repeated_permanent(a, mult, fix_minimal)
     return value, states - 1
-
-
-def permanent_repeated(column_block, multiplicities: Sequence[int]) -> complex:
-    """Standard permanent of an N x N matrix given as distinct columns plus
-    their repetition counts (sum of counts = N)."""
-    value, _ = repeated_column_expansion(column_block, multiplicities)
-    return value
 
 
 @dataclass(frozen=True)

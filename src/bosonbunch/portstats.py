@@ -36,7 +36,6 @@ __all__ = [
     "entropy",
     "solve_tail_crossings",
     "tail_half_width",
-    "max_occupation_cdf",
     "max_bunching_cutoff",
     "probability_cost_bounds",
     "sampling_cost_bounds",
@@ -196,17 +195,6 @@ def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     if not math.isfinite(delta):
         raise ValueError(f"the half-width overflows at rho = {rho} and epsilon = {epsilon}")
     return delta
-
-
-def max_occupation_cdf(n_bosons: int, n_ports: int, m: float) -> float:
-    """Approximate probability that no output port holds more than m bosons:
-    [1 - (rho / (1 + rho))^(m+1)]^M."""
-    n_bosons = _check_count(n_bosons, "n_bosons")
-    n_ports = _check_count(n_ports, "n_ports")
-    if not m >= 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    rho = n_bosons / n_ports
-    return (1.0 - (rho / (1.0 + rho)) ** (m + 1.0)) ** n_ports
 
 
 def max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:

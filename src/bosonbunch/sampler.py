@@ -60,7 +60,9 @@ class PortSequence:
 
     def configuration(self, n_ports: int) -> np.ndarray:
         """Collapse to the per-port occupation vector of length ``n_ports``;
-        ValueError when a port lies outside 1..``n_ports``."""
+        ValueError when ``n_ports`` is not a positive integer (2.0 passes) or
+        a port lies outside 1..``n_ports``."""
+        n_ports = _check_count(n_ports, "n_ports")
         ports = _check_ports(self.ports, "ports", n_ports)
         return np.bincount(ports, minlength=n_ports + 1)[1:]
 

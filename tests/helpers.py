@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import ctypes
 import io
+import pathlib
 import re
 
 import numpy as np
@@ -12,9 +14,10 @@ DEFAULT_BUFFER = 8192
 
 
 def platform_note():
-    """numpy's version and the SIMD extensions it found at run time, as the
-    message of a failed golden pin: the pinned bytes depend on which numpy
-    inner loop runs. Never raises."""
+    """numpy's version, the SIMD extensions it found at run time and the
+    OpenBLAS core it loaded, as the message of a failed golden pin: the pinned
+    bytes depend on which numpy inner loop and which BLAS kernel run. Never
+    raises."""
     try:
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
@@ -22,7 +25,34 @@ def platform_note():
         simd = ast.literal_eval(re.search(r"'simd_extensions': (\{[^{}]*\})", text.getvalue()).group(1))
     except Exception as exc:
         simd = f"unknown ({type(exc).__name__})"
-    return f"numpy {np.__version__}, simd_extensions {simd}"
+    return f"numpy {np.__version__}, simd_extensions {simd}, openblas core {openblas_core()}"
+
+
+# the core-name getter of the OpenBLAS builds that numpy wheels bundle
+CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+def openblas_core():
+    """Name of the OpenBLAS core ("SkylakeX", "Haswell") that the library in
+    ``numpy.libs`` picked at load time, or "unknown" when there is no such
+    library or symbol. Never raises."""
+    try:
+        libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))  # numpy's own handle, already loaded
+            for name in CORENAME_SYMBOLS:
+                corename = getattr(lib, name, None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    return corename().decode()
+    except Exception:
+        pass
+    return "unknown"
 
 
 def random_complex(rng, shape):

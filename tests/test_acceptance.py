@@ -24,7 +24,6 @@ from bosonbunch import (
     occupied_ports_pmf,
     permanent_glynn,
     permanent_naive,
-    permanent_repeated,
     permanent_ryser,
     probability_cost_bounds,
     repeated_column_expansion,

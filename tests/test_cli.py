@@ -13,6 +13,7 @@ import pytest
 import bosonbunch
 from bosonbunch import UnitaryMatrix, cli, save_matrix
 from bosonbunch.cli import main
+import helpers
 from helpers import platform_note
 
 
@@ -336,6 +337,15 @@ def test_sample_output_digest_is_pinned(tmp_path, fmt, count):
     assert main(args + ["--format", fmt, "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SAMPLE_DIGESTS[fmt, count], platform_note()
+
+
+def test_platform_note_names_the_simd_target_and_the_blas_core(monkeypatch):
+    # a failed pin should say which numpy inner loops and BLAS kernel ran
+    note = platform_note()
+    assert isinstance(note, str)
+    assert "simd_extensions" in note and "openblas core" in note
+    monkeypatch.setattr(helpers, "CORENAME_SYMBOLS", ("no_such_symbol",))
+    assert platform_note().endswith("openblas core unknown")
 
 
 def test_sample_rejects_negative_count_without_output(four_port_path, tmp_path, capsys):

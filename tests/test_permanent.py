@@ -13,7 +13,6 @@ from bosonbunch import (
     output_probability,
     permanent_glynn,
     permanent_naive,
-    permanent_repeated,
     permanent_ryser,
     repeated_column_expansion,
 )
@@ -122,20 +121,20 @@ def test_fast_permanents_match_oracle():
 def test_repeated_single_column_closed_form():
     rng = np.random.default_rng(3)
     col = random_complex(rng, (3, 1))
-    value = permanent_repeated(col, [3])
+    value = repeated_column_expansion(col, [3])[0]
     assert rel_err(value, 6 * col[:, 0].prod()) < 1e-12
 
 
 def test_repeated_no_repetition_equals_glynn():
     rng = np.random.default_rng(4)
     a = random_complex(rng, (5, 5))
-    assert rel_err(permanent_repeated(a, [1] * 5), permanent_glynn(a)) < 1e-12
+    assert rel_err(repeated_column_expansion(a, [1] * 5)[0], permanent_glynn(a)) < 1e-12
 
 
 def test_repeated_matches_expanded_oracle():
     rng = np.random.default_rng(5)
     block = random_complex(rng, (4, 2))
-    value = permanent_repeated(block, [2, 2])
+    value = repeated_column_expansion(block, [2, 2])[0]
     oracle = permanent_naive(expand_columns(block, [2, 2]))
     assert rel_err(value, oracle) < 1e-9
 
@@ -145,7 +144,7 @@ def test_repeated_all_patterns_up_to_n6():
     for n in range(2, 7):
         for pattern in partitions(n):
             block = random_complex(rng, (n, len(pattern)))
-            value = permanent_repeated(block, list(pattern))
+            value = repeated_column_expansion(block, list(pattern))[0]
             oracle = permanent_naive(expand_columns(block, pattern))
             assert rel_err(value, oracle) < 1e-9, pattern
 
@@ -184,9 +183,9 @@ def test_repeated_is_column_permutation_invariant():
     rng = np.random.default_rng(9)
     block = random_complex(rng, (6, 3))
     pattern = [3, 2, 1]
-    reference = permanent_repeated(block, pattern)
+    reference = repeated_column_expansion(block, pattern)[0]
     for order in [(1, 0, 2), (2, 1, 0), (2, 0, 1)]:
-        value = permanent_repeated(block[:, list(order)], [pattern[j] for j in order])
+        value = repeated_column_expansion(block[:, list(order)], [pattern[j] for j in order])[0]
         assert rel_err(value, reference) < 1e-12
 
 
@@ -377,11 +376,11 @@ def test_every_expansion_route_refuses_past_the_ceiling(case):
 
 def test_repeated_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        permanent_repeated(np.ones((3, 2)), [])
+        repeated_column_expansion(np.ones((3, 2)), [])
     with pytest.raises(ValueError):
-        permanent_repeated(np.ones((3, 2)), [2, 2])  # sums to 4, block has 3 rows
+        repeated_column_expansion(np.ones((3, 2)), [2, 2])  # sums to 4, block has 3 rows
     with pytest.raises(ValueError):
-        permanent_repeated(np.ones((3, 2)), [3, 0])
+        repeated_column_expansion(np.ones((3, 2)), [3, 0])
     for shape in [(3,), (0, 0)]:
         with pytest.raises(ValueError, match=r"^expected a non-empty 2-D matrix, got shape"):
             permanent_glynn(np.ones(shape))

@@ -13,7 +13,6 @@ from bosonbunch import (
     entropy,
     haar_unitary,
     max_bunching_cutoff,
-    max_occupation_cdf,
     mean_occupied_ports,
     occupied_ports_pmf,
     probability_cost_bounds,
@@ -23,6 +22,7 @@ from bosonbunch import (
     tail_half_width,
 )
 from bosonbunch.portstats import _bisect
+from helpers import compositions
 
 
 # -------------------------------------------------------------------- the pmf
@@ -79,8 +79,6 @@ COUNTED = {
     "mean-N": lambda c: mean_occupied_ports(c, 4),
     "mean-M": lambda c: mean_occupied_ports(2, c),
     "half_width-N": lambda c: tail_half_width(c, 0.5, 0.1),
-    "cdf-N": lambda c: max_occupation_cdf(c, 4, 1),
-    "cdf-M": lambda c: max_occupation_cdf(2, c, 1),
     "cutoff-N": lambda c: max_bunching_cutoff(c, 0.5, 0.1),
 }
 
@@ -100,7 +98,6 @@ def test_integer_valued_counts_give_int_results(call):
 def test_count_checks_leave_more_bosons_than_ports_allowed():
     assert binomial_envelope(6, 4, 2) > 0.0
     assert mean_occupied_ports(6, 4) == pytest.approx(24 / 9)
-    assert 0.0 < max_occupation_cdf(6, 4, 3) < 1.0
 
 
 def test_pmf_accepts_integer_valued_counts():
@@ -261,25 +258,39 @@ def test_tail_half_width_refuses_an_overflowing_width(n_bosons, rho, epsilon):
 # ------------------------------------------------------------------- bunching
 
 
-def test_max_occupation_cdf_limits():
-    assert max_occupation_cdf(20, 40, 500.0) == pytest.approx(1.0, abs=1e-12)
-    assert max_occupation_cdf(16, 16, 0) == pytest.approx(0.5**16, rel=1e-9)
-
-
-@pytest.mark.parametrize("m", [math.nan, -1.0])
-def test_max_occupation_cdf_rejects_bad_levels(m):
-    with pytest.raises(ValueError, match="m must be >= 0"):
-        max_occupation_cdf(4, 8, m)
-
-
 def test_bunching_cutoff_example():
     cutoff = max_bunching_cutoff(20, 1.0, 0.05)
     assert cutoff == pytest.approx(math.log(400) / math.log(2), rel=1e-12)
 
 
-def test_bunching_cutoff_round_trip():
-    cutoff = max_bunching_cutoff(50, 0.5, 0.05)
-    assert max_occupation_cdf(50, 100, cutoff) >= 0.95
+def capped_configurations(n_bosons, n_ports, m):
+    """Number of ways to put N bosons into M ports with at most m in each:
+    sum_j (-1)^j C(M, j) C(N - j(m+1) + M - 1, M - 1), by inclusion-exclusion
+    over the j ports forced to hold more than m."""
+    return sum(
+        (-1) ** j * math.comb(n_ports, j) * math.comb(n_bosons - j * (m + 1) + n_ports - 1, n_ports - 1)
+        for j in range(min(n_ports, n_bosons // (m + 1)) + 1)
+    )
+
+
+@pytest.mark.parametrize("n_bosons, n_ports, m", [(4, 3, 1), (5, 5, 2), (6, 4, 3), (7, 3, 2)])
+def test_capped_configurations_match_enumeration(n_bosons, n_ports, m):
+    enumerated = sum(max(c) <= m for c in compositions(n_bosons, n_ports))
+    assert capped_configurations(n_bosons, n_ports, m) == enumerated
+
+
+@pytest.mark.parametrize("ports_per_boson", [1, 2, 3, 10], ids=["M=N", "M=2N", "M=3N", "M=10N"])
+def test_bunching_cutoff_round_trip(ports_per_boson):
+    # every output configuration is equally likely over the Haar measure, so
+    # the largest occupation exceeds the cutoff with exactly the capped
+    # configurations' missing share, compared here in rationals
+    for n_bosons in (5, 10, 20, 50, 100, 200, 500, 1000):
+        n_ports = ports_per_boson * n_bosons
+        total = math.comb(n_ports + n_bosons - 1, n_bosons)
+        for epsilon in (0.5, 0.1, 0.01, 1e-4):
+            m = math.floor(max_bunching_cutoff(n_bosons, n_bosons / n_ports, epsilon))
+            escape = Fraction(total - capped_configurations(n_bosons, n_ports, m), total)
+            assert escape <= Fraction(epsilon), (n_bosons, n_ports, epsilon, m)
 
 
 def test_bunching_cutoff_monotone_in_epsilon():

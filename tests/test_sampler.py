@@ -657,6 +657,18 @@ def test_configuration_refuses_a_port_outside_the_range(ports):
         seq.configuration(3)
 
 
+@pytest.mark.parametrize("n_ports", [2.0, np.int64(3)], ids=["float", "int64"])
+def test_configuration_accepts_integer_valued_port_counts(n_ports):
+    seq = PortSequence((2, 1, 2), (1, 2, 3))
+    assert seq.configuration(n_ports).tolist() == seq.configuration(int(n_ports)).tolist()
+
+
+@pytest.mark.parametrize("n_ports", [True, 0, 2.5])
+def test_configuration_refuses_a_port_count_that_is_not_a_positive_integer(n_ports):
+    with pytest.raises(ValueError, match=r"^n_ports must "):
+        PortSequence((1,), (1,)).configuration(n_ports)
+
+
 # ----------------------------------------------------- distribution validation
 
 
@@ -696,12 +708,12 @@ def test_collision_regime_fits_equal_mass_bins_and_rejects_distinguishable_boson
     assert foil_p < 1e-6
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_same_port_pairs_match_the_boson_value_past_brute_force(seed):
-    # (12, 24) is far past the brute-force oracle. The mean of sum_j n_j (n_j - 1)
-    # is exact: with P = |U[:N]|^2 and s its column sums, distinguishable
-    # particles give s.s - sum P^2 and bosons exactly twice that
-    u, n, draws = haar_unitary(24, seed=seed), 12, 1000
+@pytest.mark.parametrize("n, seed", [(12, 1), (12, 2), (16, 1)], ids=["1", "2", "16x32-1"])
+def test_same_port_pairs_match_the_boson_value_past_brute_force(n, seed):
+    # (12, 24) and (16, 32) are far past the brute-force oracle. The mean of
+    # sum_j n_j (n_j - 1) is exact: with P = |U[:N]|^2 and s its column sums,
+    # distinguishable particles give s.s - sum P^2 and bosons exactly twice that
+    u, draws = haar_unitary(2 * n, seed=seed), 1000
     batch = sample_batch(u, n, draws, 11)
     occupation = np.array([seq.configuration(u.dim) for seq in batch.samples])
     pairs = (occupation * (occupation - 1)).sum(axis=1)
