@@ -92,7 +92,7 @@ def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
     dim = _check_count(dim, "dim")
     if seed is not None:
         seed = _check_count(seed, "seed", minimum=0)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre)
     phases = np.diag(r).copy()

@@ -137,15 +137,6 @@ def _unit_roots(order: int) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=None)
-def _root_steps(order: int) -> np.ndarray:
-    """``_unit_roots(order) - 1``: the shifts that move a variable held at 1
-    onto each root, cached because a chain takes them at every repeat."""
-    steps = _unit_roots(order) - 1
-    steps.flags.writeable = False
-    return steps
-
-
 @lru_cache(maxsize=128)
 def _root_products(radices: tuple[int, ...]) -> np.ndarray:
     """The variable products of an inner table's states: the Kronecker

@@ -31,14 +31,13 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _level_table, _pinned_states, _root_steps, _unit_roots
+from .permanent import INNER_STATES, _expansion_sum, _level_table, _pinned_states, _unit_roots
 
 __all__ = [
     "PortSequence",
     "SampleOps",
     "SampleBatch",
     "conditional_weights",
-    "draw_sample",
     "draw_sample_counted",
     "sample_batch",
 ]
@@ -232,7 +231,7 @@ class _PrefixTable:
             t = t + self.mp[:, fix, None]
         radix = self.counts[port] + 1
         roots = _unit_roots(radix)
-        shifts = self.mp[:, port, None] * (roots if fix is None else _root_steps(radix))
+        shifts = self.mp[:, port, None] * (roots if fix is None else roots - 1)
         self.t = _level_table(t, shifts)
         self.p = (roots[:, None] * p).ravel()
         self.summed[port] = radix
@@ -301,18 +300,7 @@ def _resolve_rng(rng, seed) -> tuple[np.random.Generator, int | None]:
     if rng is not None:
         raise ValueError("pass either a generator or a seed, not both")
     seed = _check_count(seed, "seed", minimum=0)
-    return np.random.default_rng(np.random.SeedSequence(seed)), seed
-
-
-def draw_sample(
-    u: UnitaryMatrix,
-    n_bosons: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-) -> PortSequence:
-    """One exact sample of the N output ports. Pass either a generator or a
-    seed; with a fixed seed the sample is reproducible."""
-    return draw_sample_counted(u, n_bosons, rng, seed)[0]
+    return np.random.default_rng(seed), seed
 
 
 def draw_sample_counted(
@@ -321,7 +309,9 @@ def draw_sample_counted(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> tuple[PortSequence, SampleOps]:
-    """Like draw_sample, also returning the operation counters."""
+    """One exact sample of the N output ports and its operation counters.
+    Pass either a generator or a seed; with a fixed seed the sample is
+    reproducible."""
     rng, seed = _resolve_rng(rng, seed)
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
     return _chain_sample(u, n_bosons, rng, seed)
@@ -342,18 +332,17 @@ class SampleBatch:
 def sample_batch(
     u: UnitaryMatrix, n_bosons: int, count: int, master_seed: int
 ) -> SampleBatch:
-    """``count`` independent samples with per-sample seeds derived from
-    (master_seed, index); the result is identical however it is scheduled."""
+    """``count`` independent samples; sample i draws from
+    ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so the result
+    is identical however it is scheduled."""
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
     count = _check_count(count, "count", minimum=0)
     master_seed = _check_count(master_seed, "master_seed", minimum=0)
-    children = np.random.SeedSequence(master_seed).spawn(count)
     samples = []
     steps = []
-    for i, child in enumerate(children):
-        seq, ops = _chain_sample(
-            u, n_bosons, np.random.default_rng(child), seed_note=(master_seed, i)
-        )
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(i,)))
+        seq, ops = _chain_sample(u, n_bosons, rng, seed_note=(master_seed, i))
         samples.append(seq)
         steps.append(ops.gray_steps)
     return SampleBatch(

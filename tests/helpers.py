@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 
+from bosonbunch import draw_sample_counted, load_unitary, output_probability
+
 # numpy's default ufunc buffer, in elements
 DEFAULT_BUFFER = 8192
 
@@ -19,13 +21,19 @@ def platform_note():
     bytes depend on which numpy inner loop and which BLAS kernel run. Never
     raises."""
     try:
-        text = io.StringIO()
-        with contextlib.redirect_stdout(text):
-            np.show_runtime()
-        simd = ast.literal_eval(re.search(r"'simd_extensions': (\{[^{}]*\})", text.getvalue()).group(1))
+        simd = simd_extensions()
     except Exception as exc:
         simd = f"unknown ({type(exc).__name__})"
     return f"numpy {np.__version__}, simd_extensions {simd}, openblas core {openblas_core()}"
+
+
+def simd_extensions():
+    """numpy's run-time SIMD report: the ``baseline`` it was built for, the
+    extensions above it that it ``found`` on this CPU and those ``not_found``."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        np.show_runtime()
+    return ast.literal_eval(re.search(r"'simd_extensions': (\{[^{}]*\})", text.getvalue()).group(1))
 
 
 # the core-name getter of the OpenBLAS builds that numpy wheels bundle
@@ -53,6 +61,29 @@ def openblas_core():
     except Exception:
         pass
     return "unknown"
+
+
+def dispatch_record(folder):
+    """What holds across SIMD targets and BLAS kernels, from the unitaries
+    saved in ``folder`` as ``u<M>.json``: the ports, row order and per-step
+    Gray counts of draws with seeds 0..9 at (N, M) = (12, 12), (12, 24) and
+    (20, 60), and the probabilities of 40 uniformly drawn (16, 16)
+    multisets."""
+    folder = pathlib.Path(folder)
+    draws = []
+    for n, m in ((12, 12), (12, 24), (20, 60)):
+        u = load_unitary(folder / f"u{m}.json")
+        for seed in range(10):
+            seq, ops = draw_sample_counted(u, n, seed=seed)
+            draws.append([list(seq.ports), list(seq.row_order), list(ops.per_step_gray)])
+    u = load_unitary(folder / "u16.json")
+    rng = np.random.default_rng(16)
+    probabilities = []
+    for _ in range(40):
+        # stars and bars: every multiset of 16 ports equally likely
+        bars = np.sort(rng.choice(31, 16, replace=False)) - np.arange(16)
+        probabilities.append(output_probability(u, np.bincount(bars, minlength=16)))
+    return {"draws": draws, "probabilities": probabilities}
 
 
 def random_complex(rng, shape):

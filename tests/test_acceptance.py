@@ -16,7 +16,6 @@ from bosonbunch import (
     brute_force_distribution,
     chi_square_fit,
     cost_estimate,
-    draw_sample,
     draw_sample_counted,
     empirical_counts,
     haar_unitary,
@@ -210,7 +209,7 @@ def test_criterion_8_cost_bound_envelope_statistical():
         escapes = 0
         for s in range(trials):
             u = haar_unitary(m_ports, seed=81_000 + 100 * m_ports + s)
-            seq = draw_sample(u, 16, seed=s)
+            seq = draw_sample_counted(u, 16, seed=s)[0]
             exponent = math.log2(cost_estimate(seq.configuration(m_ports)).op_units)
             if not report.prob_lower_log2 <= exponent <= report.prob_upper_log2:
                 escapes += 1
