@@ -85,8 +85,11 @@ def _check_ports(values, what: str, n_ports: int) -> list[int]:
 
 
 def _check_permutation(values, what: str) -> list[int]:
-    """``values`` as a list of ints; ValueError unless they are 1..n in some order."""
+    """``values`` as a list of ints; ValueError unless they are 1..n in some
+    order for some n >= 1."""
     perm = _integer_entries(values, what).tolist()
+    if not perm:
+        raise ValueError(f"{what} must not be empty")
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"{what} must be a permutation of 1..{len(perm)}, got {perm}")
     return perm

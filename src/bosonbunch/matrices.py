@@ -81,6 +81,13 @@ class UnitaryMatrix:
         return self.matrix.shape[0]
 
 
+def _check_unitary(u, caller: str) -> None:
+    """TypeError naming ``caller`` unless ``u`` is a ``UnitaryMatrix``; every
+    function that reads a unitary's rows calls this before any other check."""
+    if not isinstance(u, UnitaryMatrix):
+        raise TypeError(f"{caller} expects a UnitaryMatrix")
+
+
 def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
     """Draw a ``dim`` x ``dim`` unitary from the Haar measure.
 

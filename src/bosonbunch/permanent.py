@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _check_boson_count, _check_counts
-from .matrices import UnitaryMatrix, _as_complex_matrix
+from .matrices import _as_complex_matrix, _check_unitary
 
 NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
@@ -307,8 +307,7 @@ def output_probability(u, configuration) -> float:
     prod(m_l + 1) / min(m_l + 1) states of N row sums over the occupied
     ports l.
     """
-    if not isinstance(u, UnitaryMatrix):
-        raise TypeError("output_probability expects a UnitaryMatrix")
+    _check_unitary(u, "output_probability")
     m_ports = u.matrix.shape[0]
     occ = _check_counts(configuration, "configuration")
     if occ.shape[0] != m_ports:

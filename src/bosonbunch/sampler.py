@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
-from .matrices import UnitaryMatrix, fingerprint
+from .matrices import UnitaryMatrix, _check_unitary, fingerprint
 from .permanent import INNER_STATES, _expansion_sum, _level_table, _pinned_states, _unit_roots
 
 __all__ = [
@@ -246,6 +246,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     is dropped, which is all the chain rule needs at a fixed step. The
     weights are a chain step's, rescaled like it, from a fresh expansion.
     """
+    _check_unitary(u, "conditional_weights")
     pi = _check_permutation(pi, "pi")
     n = len(pi)
     ports = _check_ports(prefix, "prefix", u.dim)
@@ -312,6 +313,7 @@ def draw_sample_counted(
     """One exact sample of the N output ports and its operation counters.
     Pass either a generator or a seed; with a fixed seed the sample is
     reproducible."""
+    _check_unitary(u, "draw_sample_counted")
     rng, seed = _resolve_rng(rng, seed)
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
     return _chain_sample(u, n_bosons, rng, seed)
@@ -335,6 +337,7 @@ def sample_batch(
     """``count`` independent samples; sample i draws from
     ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so the result
     is identical however it is scheduled."""
+    _check_unitary(u, "sample_batch")
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
     count = _check_count(count, "count", minimum=0)
     master_seed = _check_count(master_seed, "master_seed", minimum=0)

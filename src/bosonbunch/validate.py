@@ -1,15 +1,8 @@
 """Checks of the chain (``sampler`` holds only the chain): the brute-force
-oracle and the fit statistics against it, and the cost envelope on the
-chain's own counters, ``SampleOps``; none is defined here.
+oracle and the fit statistics against it.
 
 The oracle enumerates every configuration through ``output_probability``
-and shares no step with the chain. An operation unit is one enumerated
-state's worth of row work (one addition and one multiplication per row).
-Envelope comparisons happen at exponent level (log2 counts) with the
-asymptotic constants taken as one, which leaves a documented slack of two
-bits on the lower side: the weight-evaluation work is M*K summed over steps
-(about half of M*N^2) and a realized prefix can shave one doubling off the
-final enumeration.
+and shares no step with the chain.
 """
 
 from __future__ import annotations
@@ -24,13 +17,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import _check_boson_count, _check_counts
-from .matrices import UnitaryMatrix
-from .permanent import cost_estimate, output_probability
-from .sampler import PortSequence, SampleBatch, SampleOps, draw_sample_counted
+from .matrices import UnitaryMatrix, _check_unitary
+from .permanent import output_probability
+from .sampler import SampleBatch
 
 BRUTE_FORCE_LIMIT = 100_000
 MIN_EXPECTED = 5.0
-LOWER_ENVELOPE_SLACK_LOG2 = 2.0
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -38,8 +30,6 @@ __all__ = [
     "empirical_counts",
     "total_variation_distance",
     "chi_square_fit",
-    "trace_sample",
-    "LOWER_ENVELOPE_SLACK_LOG2",
 ]
 
 
@@ -52,6 +42,7 @@ def brute_force_distribution(
     sampler is validated against, so it stays deliberately independent of
     the chain-rule machinery.
     """
+    _check_unitary(u, "brute_force_distribution")
     m_ports = u.dim
     n_bosons, _ = _check_boson_count(n_bosons, m_ports)
     n_configs = math.comb(m_ports + n_bosons - 1, n_bosons)
@@ -175,37 +166,3 @@ def _chi_square_sf(statistic: float, dof: int) -> float:
         delta = c * d
         h *= delta
     return math.exp(log_front + math.log(h))
-
-
-def _sample_envelope(n_bosons: int, n_ports: int, config: np.ndarray) -> tuple[int, int]:
-    """Guaranteed per-sample op-unit envelope for a realized configuration."""
-    occupied = config[config > 0]
-    n_distinct = occupied.size
-    max_occ = int(occupied.max())
-    overhead = n_ports * n_bosons**2
-    lower = n_bosons * 2**n_distinct + overhead
-    upper = (max_occ + 2) * n_bosons * cost_estimate(config).bunching_product + overhead
-    return lower, upper
-
-
-def trace_sample(
-    u: UnitaryMatrix,
-    n_bosons: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-) -> tuple[PortSequence, SampleOps]:
-    """One chain sample with its counters.
-
-    Verifies on the way out that the realized op units sit inside the
-    envelope instantiated with the realized configuration (lower side with
-    the two-bit constants slack); a violation means the chain's counters and
-    the cost model have diverged.
-    """
-    seq, ops = draw_sample_counted(u, n_bosons, rng, seed)
-    lower, upper = _sample_envelope(n_bosons, u.dim, seq.configuration(u.dim))
-    if not (lower <= ops.op_units * 2**LOWER_ENVELOPE_SLACK_LOG2 and ops.op_units <= upper):
-        raise RuntimeError(
-            f"sample op units {ops.op_units} escaped the realized envelope"
-            f" [{lower} / {int(2 ** LOWER_ENVELOPE_SLACK_LOG2)}, {upper}]"
-        )
-    return seq, ops

@@ -952,8 +952,9 @@ ROW_ORDER_ENTRANCES = {
         ([1, 3], "be a permutation of 1..2, got \\[1, 3\\]$"),
         ([1.5, 2], "hold integers only"),
         ([True, 2], "hold integers only"),
+        ([], "not be empty$"),
     ],
-    ids=["repeat", "zero", "gap", "fraction", "boolean"],
+    ids=["repeat", "zero", "gap", "fraction", "boolean", "empty"],
 )
 @pytest.mark.parametrize("what", ROW_ORDER_ENTRANCES)
 def test_every_row_order_entrance_refuses_non_permutations(what, values, message):
@@ -974,3 +975,19 @@ def test_every_row_order_entrance_refuses_non_permutations(what, values, message
 def test_more_bosons_than_ports_is_one_regime_error(entrance):
     with pytest.raises(UnsupportedRegimeError, match="^4 bosons on 3 ports"):
         entrance(U3)
+
+
+UNITARY_ENTRANCES = {
+    "draw_sample_counted": lambda u: draw_sample_counted(u, 2, seed=0),
+    "sample_batch": lambda u: sample_batch(u, 2, 3, 0),
+    "conditional_weights": lambda u: conditional_weights(u, (1, 2), (1,)),
+    "brute_force_distribution": lambda u: brute_force_distribution(u, 2),
+    "output_probability": lambda u: output_probability(u, [1, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("what", UNITARY_ENTRANCES)
+def test_every_unitary_entrance_refuses_a_plain_array(what):
+    # a bare array of the same unitary's entries, which has no .dim
+    with pytest.raises(TypeError, match=f"^{what} expects a UnitaryMatrix$"):
+        UNITARY_ENTRANCES[what](U3.matrix)
