@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _check_count, _check_permutation, _check_ports
+from .errors import _check_count, _check_ports
 
 UNITARITY_TOLERANCE = 1e-12
 
@@ -23,8 +23,6 @@ __all__ = [
     "UNITARITY_TOLERANCE",
     "UnitaryMatrix",
     "haar_unitary",
-    "identity_unitary",
-    "permutation_unitary",
     "submatrix",
     "unitarity_defect",
     "save_matrix",
@@ -105,21 +103,6 @@ def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return UnitaryMatrix(matrix=q * phases, seed=seed)
-
-
-def identity_unitary(dim: int) -> UnitaryMatrix:
-    """Identity interferometer, handy as a no-interference reference."""
-    dim = _check_count(dim, "dim")
-    return UnitaryMatrix(matrix=np.eye(dim, dtype=np.complex128))
-
-
-def permutation_unitary(targets: Sequence[int]) -> UnitaryMatrix:
-    """Unitary routing input port k to output port ``targets[k-1]`` (1-based)."""
-    perm = _check_permutation(targets, "targets")
-    a = np.zeros((len(perm), len(perm)), dtype=np.complex128)
-    for k, t in enumerate(perm):
-        a[t - 1, k] = 1.0
-    return UnitaryMatrix(matrix=a)
 
 
 def _matrix_of(u) -> np.ndarray:

@@ -20,8 +20,8 @@ and non-finite entries raise ``ValueError`` before any work.
 
 The cost is reported as ``gray_steps``: the enumerated states less one,
 the moves a Gray walk over them would make, though no walk is taken.
-``cost_estimate`` gives the same cost in closed form, N row products per
-state, N * prod(m_l + 1) / min(m_l + 1) op units in all.
+``cost_estimate`` states the cost model once, in closed form: N row
+products per state, N * prod(m_l + 1) / min(m_l + 1) op units in all.
 """
 
 from __future__ import annotations
@@ -275,21 +275,12 @@ class CostEstimate:
     min_factor: int
 
 
-def _pinned_states(counts) -> int:
-    """States of one expansion over ports holding ``counts`` bosons (each at
-    least one) with a least-count port pinned: prod(c + 1) / min(c + 1)."""
-    factors = [c + 1 for c in counts]
-    return math.prod(factors) // min(factors)
-
-
 def cost_estimate(occupations: Sequence[int]) -> CostEstimate:
-    """Evaluation cost of one output probability for the given configuration."""
+    """Evaluation cost of one output probability for the given configuration,
+    exact since the least factor divides the product."""
     counts = [m for m in _check_counts(occupations, "occupations").tolist() if m > 0]
-    return CostEstimate(
-        op_units=sum(counts) * _pinned_states(counts),
-        bunching_product=math.prod(c + 1 for c in counts),
-        min_factor=min(counts) + 1,
-    )
+    product, least = math.prod(c + 1 for c in counts), min(counts) + 1
+    return CostEstimate(op_units=sum(counts) * product // least, bunching_product=product, min_factor=least)
 
 
 def output_probability(u, configuration) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, _check_unitary, fingerprint
-from .permanent import INNER_STATES, _expansion_sum, _level_table, _pinned_states, _unit_roots
+from .permanent import INNER_STATES, _expansion_sum, _level_table, _unit_roots
 
 __all__ = [
     "PortSequence",
@@ -145,7 +145,8 @@ class _PrefixTable:
     state's variable product. The pinned port sits in ``t`` with its
     variable fixed at 1, so there are S = prod(c + 1) / min(c + 1) states.
     Each pick, a repeat included, costs one broadcast, plus a column add
-    when the pin moves to a new port. Once S would pass
+    when the pin moves to a new port. S changes only in ``_spread``, which
+    reads the next size off the table itself; once it would pass
     ``INNER_STATES`` the table is dropped (memory stays at most N x
     INNER_STATES entries) and ``accumulators`` expands the prefix afresh;
     ``t`` and ``p`` are then None and ``add`` only counts.
@@ -197,9 +198,6 @@ class _PrefixTable:
         self.counts[q] = c + 1
         if self.t is None:
             return
-        if _pinned_states(self.counts.values()) > INNER_STATES:
-            self.t = self.p = None
-            return
         pin, least = self.pin, min(self.counts.values())
         if pin is None:
             self.pin = q
@@ -218,7 +216,12 @@ class _PrefixTable:
         port's digit-0 slice is taken, a new port's column is added to every
         state; both leave 2-D tables for the broadcast. A ``fix`` comes
         exactly when ``port`` was the pin or is a repeat, so that ``t`` then
-        holds its column once and the broadcast adds the roots minus 1."""
+        holds its column once and the broadcast adds the roots minus 1. A
+        table that would pass ``INNER_STATES`` states is dropped instead."""
+        radix = self.counts[port] + 1
+        if self.p.size // self.summed.get(fix, 1) * radix > INNER_STATES:
+            self.t = self.p = None
+            return
         n = len(self.t)
         t, p = self.t, self.p
         if fix in self.summed:
@@ -229,7 +232,6 @@ class _PrefixTable:
             p = p.reshape(outer, r, -1)[:, 0].ravel()
         elif fix is not None:
             t = t + self.mp[:, fix, None]
-        radix = self.counts[port] + 1
         roots = _unit_roots(radix)
         shifts = self.mp[:, port, None] * (roots if fix is None else roots - 1)
         self.t = _level_table(t, shifts)

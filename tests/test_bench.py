@@ -120,8 +120,17 @@ def test_mean_pinned_states_matches_enumeration(j, m_ports):
     assert _mean_pinned_states(j, m_ports) == exact
 
 
-@pytest.mark.parametrize("n_bosons, m_ports, draws", [(8, 16, 3000), (12, 24, 2000)])
-def test_mean_row_ops_match_the_exact_haar_mean(n_bosons, m_ports, draws):
+@pytest.mark.parametrize(
+    "n_bosons, m_ports, draws, foil_floor",
+    [
+        pytest.param(8, 16, 3000, 10, id="8-16-3000"),
+        pytest.param(12, 24, 2000, 10, id="12-24-2000"),
+        # the paper's point: past about 13 distinct ports a chain drops its
+        # carried table and expands afresh, so this case checks that path
+        pytest.param(20, 60, 100, 5, id="20-60-100"),
+    ],
+)
+def test_mean_row_ops_match_the_exact_haar_mean(n_bosons, m_ports, draws, foil_floor):
     # Averaged over Haar unitaries every output multiset is equally likely
     # (Arkhipov & Kuperberg, arXiv:1106.0849), and the chain's port sequence
     # is exchangeable, so its first j ports form a uniform j-boson multiset
@@ -146,4 +155,4 @@ def test_mean_row_ops_match_the_exact_haar_mean(n_bosons, m_ports, draws):
         return (x.mean() - exact) / (x.std(ddof=1) / math.sqrt(x.size))
 
     assert abs(z(chain)) <= 5.0, (z(chain), exact)
-    assert z(foil) >= 10.0, (z(foil), exact)
+    assert z(foil) >= foil_floor, (z(foil), exact)

@@ -9,10 +9,8 @@ from bosonbunch import (
     UnitaryMatrix,
     fingerprint,
     haar_unitary,
-    identity_unitary,
     load_matrix,
     load_unitary,
-    permutation_unitary,
     save_matrix,
     submatrix,
     unitarity_defect,
@@ -51,7 +49,7 @@ def test_haar_rejects_zero_dim():
         haar_unitary(0, seed=1)
 
 
-@pytest.mark.parametrize("make", [haar_unitary, identity_unitary])
+@pytest.mark.parametrize("make", [haar_unitary])
 @pytest.mark.parametrize("dim", [2.5, float("nan"), "2", None])
 def test_unitaries_reject_non_integer_dim(make, dim):
     with pytest.raises(ValueError, match="dim must hold integers only"):
@@ -61,7 +59,6 @@ def test_unitaries_reject_non_integer_dim(make, dim):
 def test_integer_valued_dim_builds_the_same_unitary():
     for dim in (3.0, np.int64(3), np.int8(3)):
         assert np.array_equal(haar_unitary(dim, seed=4).matrix, haar_unitary(3, seed=4).matrix)
-        assert np.array_equal(identity_unitary(dim).matrix, identity_unitary(3).matrix)
 
 
 @pytest.mark.parametrize("seed", [1.5, "a", -1])
@@ -97,7 +94,7 @@ def test_haar_first_entry_second_moment():
 def test_haar_invariance_under_fixed_permutation():
     # {U} and {PU} must be statistically indistinguishable; compare |U_11|^2
     # histograms of two independent ensembles with a two-sample KS test
-    p_shift = permutation_unitary([2, 3, 4, 1]).matrix
+    p_shift = np.roll(np.eye(4), 1, axis=0)
     draws = 10_000
     plain = np.array([abs(haar_unitary(4, seed=s).matrix[0, 0]) ** 2 for s in range(draws)])
     shifted = np.array(
@@ -188,24 +185,9 @@ def test_unitary_constructor_rejects_non_unitary():
 
 
 def test_unitary_matrix_is_read_only():
-    u = identity_unitary(2)
+    u = UnitaryMatrix(np.eye(2))
     with pytest.raises(ValueError):
         u.matrix[0, 0] = 5.0
-
-
-def test_permutation_unitary_routing():
-    p = permutation_unitary([2, 3, 1])
-    assert p.matrix[1, 0] == 1.0
-    assert p.matrix[2, 1] == 1.0
-    assert p.matrix[0, 2] == 1.0
-    with pytest.raises(ValueError):
-        permutation_unitary([1, 1, 2])
-
-
-@pytest.mark.parametrize("targets", [[1.5, 2], ["2", "1"], [[1, 2]]])
-def test_permutation_unitary_rejects_non_integer_targets(targets):
-    with pytest.raises(ValueError):
-        permutation_unitary(targets)
 
 
 def test_json_round_trip(tmp_path):

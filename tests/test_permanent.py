@@ -497,11 +497,6 @@ def test_cost_and_expansion_reject_non_integer_counts():
         repeated_column_expansion(np.ones((2, 2)), [1.9, 1])
 
 
-def test_output_probability_refuses_a_raw_array():
-    with pytest.raises(TypeError, match="^output_probability expects a UnitaryMatrix$"):
-        output_probability(haar_unitary(3, seed=2).matrix, [1, 1, 0])
-
-
 def test_output_probability_refuses_boolean_counts():
     with pytest.raises(ValueError, match="^configuration must hold integers only"):
         output_probability(haar_unitary(4, seed=2), [True, True, False, False])

@@ -24,10 +24,8 @@ from bosonbunch import (
     draw_sample_counted,
     empirical_counts,
     haar_unitary,
-    identity_unitary,
     output_probability,
     permanent_naive,
-    permutation_unitary,
     repeated_column_expansion,
     sample_batch,
     save_matrix,
@@ -234,7 +232,7 @@ def test_single_port_prefix_cdfs_are_pinned():
 def test_leave_one_out_keeps_exactly_zero_row_sums(k):
     # identity rows: the last row meets no prefix port, so its row sum is exactly 0
     # in every state and only leaving that row out gives a nonzero subpermanent
-    block = identity_unitary(k).matrix[:, : k - 1]
+    block = np.eye(k, dtype=complex)[:, : k - 1]
     counts = [1] * (k - 1)
     p, t = _expansion_table(block, counts)
     assert not t[-1].any()
@@ -408,6 +406,25 @@ def test_chain_weights_match_conditional_weights(n, m, seed):
     assert (table.t is None) == (m == 60)
 
 
+def test_table_drops_at_the_add_where_the_model_passes_inner_states():
+    # the table reads its next size off itself; that size must be the model's
+    # pinned state count, and the drop must fall where that count first
+    # passes INNER_STATES: new ports, then repeats, then repeats of the pin
+    rng = np.random.default_rng(16)
+    mp = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    for script in (range(14), [*range(12), 5, 6], [*range(12), 0, 0, 0]):
+        table = _PrefixTable(mp)
+        counts = [0] * 16
+        for i, q in enumerate(script):
+            table.add(q)
+            counts[q] += 1
+            est = cost_estimate(counts)
+            states = est.bunching_product // est.min_factor
+            assert (table.t is None) == (states > INNER_STATES) == (i == len(script) - 1)
+            if table.t is not None:
+                assert table.p.size == table.t.shape[1] == states
+
+
 def test_weights_reject_overlong_prefix():
     u = haar_unitary(3, seed=1)
     with pytest.raises(ValueError):
@@ -568,7 +585,7 @@ def test_draws_and_probabilities_hold_across_simd_targets_and_blas_kernels(tmp_p
 
 
 def test_identity_unitary_has_no_interference():
-    u = identity_unitary(4)
+    u = UnitaryMatrix(np.eye(4))
     batch = sample_batch(u, 3, 200, master_seed=1)
     for seq in batch.samples:
         assert tuple(sorted(seq.ports)) == (1, 2, 3)
@@ -586,7 +603,7 @@ def test_brute_force_single_boson():
 
 
 def test_brute_force_identity_is_point_mass():
-    dist = brute_force_distribution(identity_unitary(5), 3)
+    dist = brute_force_distribution(UnitaryMatrix(np.eye(5)), 3)
     assert dist[(1, 1, 1, 0, 0)] == pytest.approx(1.0, rel=1e-12)
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -939,7 +956,6 @@ def test_every_port_entrance_refuses_ports_out_of_range(what, port):
 
 
 ROW_ORDER_ENTRANCES = {
-    "targets": permutation_unitary,
     "pi": lambda pi: conditional_weights(U3, pi, [1]),
 }
 
