@@ -48,14 +48,14 @@ class PortSequence:
     """Ordered output ports of one sample, with provenance.
 
     ``ports`` are 1-based and in sampling order; ``row_order`` is the random
-    input-row ordering the chain used. ``seed`` is the integer seed for a
-    direct draw, a (master_seed, index) pair for batch members, or None when
-    the caller supplied its own generator.
+    input-row ordering the chain used. ``seed`` is the (master_seed, index)
+    pair of a batch member, and None for a direct draw, whose generator the
+    caller supplied.
     """
 
     ports: tuple[int, ...]
     row_order: tuple[int, ...]
-    seed: object = None
+    seed: tuple[int, int] | None = None
 
     def configuration(self, n_ports: int) -> np.ndarray:
         """Collapse to the per-port occupation vector of length ``n_ports``;
@@ -264,7 +264,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
 
 
 def _chain_sample(
-    u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note=None
+    u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator, seed_note: tuple[int, int] | None = None
 ) -> tuple[PortSequence, SampleOps]:
     m_ports = u.dim
     perm = rng.permutation(n_bosons)  # n checked by the caller; row_order records it
@@ -291,34 +291,17 @@ def _chain_sample(
     return seq, ops
 
 
-def _resolve_rng(rng, seed) -> tuple[np.random.Generator, int | None]:
-    """The generator of one draw and the seed it records. A seed is checked
-    like any count and a generator by its type, before any work; a generator
-    and a seed together are refused, since the draw could honour only one of
-    them."""
-    if rng is not None and not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}; pass a seed as seed=")
-    if seed is None:
-        return (np.random.default_rng() if rng is None else rng), None
-    if rng is not None:
-        raise ValueError("pass either a generator or a seed, not both")
-    seed = _check_count(seed, "seed", minimum=0)
-    return np.random.default_rng(seed), seed
-
-
 def draw_sample_counted(
-    u: UnitaryMatrix,
-    n_bosons: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    u: UnitaryMatrix, n_bosons: int, rng: np.random.Generator
 ) -> tuple[PortSequence, SampleOps]:
-    """One exact sample of the N output ports and its operation counters.
-    Pass either a generator or a seed; with a fixed seed the sample is
-    reproducible."""
+    """One exact sample of the N output ports and its operation counters,
+    drawn on ``rng``; a generator built from a fixed seed gives a
+    reproducible sample. ``rng`` is checked by its type before any work."""
     _check_unitary(u, "draw_sample_counted")
-    rng, seed = _resolve_rng(rng, seed)
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     n_bosons, _ = _check_boson_count(n_bosons, u.dim)
-    return _chain_sample(u, n_bosons, rng, seed)
+    return _chain_sample(u, n_bosons, rng)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def dispatch_record(folder):
     for n, m in ((12, 12), (12, 24), (20, 60)):
         u = load_unitary(folder / f"u{m}.json")
         for seed in range(10):
-            seq, ops = draw_sample_counted(u, n, seed=seed)
+            seq, ops = draw_sample_counted(u, n, rng=np.random.default_rng(seed))
             draws.append([list(seq.ports), list(seq.row_order), list(ops.per_step_gray)])
     u = load_unitary(folder / "u16.json")
     rng = np.random.default_rng(16)

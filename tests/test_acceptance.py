@@ -183,7 +183,7 @@ def test_criterion_7_cost_model_exactness():
     # chain samples: every step's counter must equal the prefix formula
     u = haar_unitary(5, seed=7)
     for s in range(200):
-        seq, ops = draw_sample_counted(u, 4, seed=s)
+        seq, ops = draw_sample_counted(u, 4, rng=np.random.default_rng(s))
         occ = np.zeros(5, dtype=int)
         for port, gray in zip(seq.ports, ops.per_step_gray):
             factors = [int(c) + 1 for c in occ if c > 0]
@@ -209,7 +209,7 @@ def test_criterion_8_cost_bound_envelope_statistical():
         escapes = 0
         for s in range(trials):
             u = haar_unitary(m_ports, seed=81_000 + 100 * m_ports + s)
-            seq = draw_sample_counted(u, 16, seed=s)[0]
+            seq = draw_sample_counted(u, 16, rng=np.random.default_rng(s))[0]
             exponent = math.log2(cost_estimate(seq.configuration(m_ports)).op_units)
             if not report.prob_lower_log2 <= exponent <= report.prob_upper_log2:
                 escapes += 1

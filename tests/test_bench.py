@@ -18,13 +18,13 @@ BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
 def test_draw_sample_counted_basics():
     u = haar_unitary(5, seed=5)
-    seq, ops = draw_sample_counted(u, 1, seed=0)
+    seq, ops = draw_sample_counted(u, 1, rng=np.random.default_rng(0))
     assert ops.gray_steps == 0
     assert ops.per_step_gray == (0,)
     assert sum(seq.configuration(5)) == 1
 
     # a bunched beamsplitter prefix degenerates to the single-product path
-    _, ops = draw_sample_counted(BEAMSPLITTER, 2, seed=0)
+    _, ops = draw_sample_counted(BEAMSPLITTER, 2, rng=np.random.default_rng(0))
     assert ops.per_step_gray == (0, 0)
 
 
@@ -41,7 +41,7 @@ def test_draw_sample_counted_within_sampling_bounds():
     outside = 0
     for s in range(100):
         u = haar_unitary(n_ports, seed=700 + s)
-        _, ops = draw_sample_counted(u, n_bosons, seed=s)
+        _, ops = draw_sample_counted(u, n_bosons, rng=np.random.default_rng(s))
         exponent = math.log2(ops.op_units)
         if not (
             report.sample_lower_log2 - lower_slack_log2
@@ -56,7 +56,7 @@ def _mean_gray_steps(n_bosons, m_ports, seed0, draws):
     totals = []
     for s in range(draws):
         u = haar_unitary(m_ports, seed=seed0 + s)
-        _, ops = draw_sample_counted(u, n_bosons, seed=s)
+        _, ops = draw_sample_counted(u, n_bosons, rng=np.random.default_rng(s))
         totals.append(ops.gray_steps)
     return float(np.mean(totals))
 
@@ -139,7 +139,9 @@ def test_mean_row_ops_match_the_exact_haar_mean(n_bosons, m_ports, draws, foil_f
     # unitaries favour the same port indices and bias the collisions.
     exact = float(sum(k * _mean_pinned_states(k - 1, m_ports) for k in range(1, n_bosons + 1)))
     unitaries = [haar_unitary(m_ports, seed=1_000_000 + s) for s in range(draws)]
-    chain = [draw_sample_counted(u, n_bosons, seed=s)[1].row_ops for s, u in enumerate(unitaries)]
+    chain = [
+        draw_sample_counted(u, n_bosons, rng=np.random.default_rng(s))[1].row_ops for s, u in enumerate(unitaries)
+    ]
 
     # the foil: distinguishable particles, boson i on port j with
     # probability |U_ij|^2, counted by the same prefix formula

@@ -371,7 +371,7 @@ def test_carried_table_cdfs_are_pinned():
     for m, seed in [(12, 7), (24, 8)]:
         u = haar_unitary(m, seed=seed)
         for s in range(3):
-            seq = draw_sample_counted(u, 12, seed=s)[0]
+            seq = draw_sample_counted(u, 12, rng=np.random.default_rng(s))[0]
             chains.append((u.matrix[np.asarray(seq.row_order) - 1], [q - 1 for q in seq.ports]))
     rng = np.random.default_rng(10)
     mp = rng.standard_normal((11, 9)) + 1j * rng.standard_normal((11, 9))
@@ -389,7 +389,7 @@ def test_carried_table_cdfs_are_pinned():
 @pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3)])
 def test_chain_weights_match_conditional_weights(n, m, seed):
     u = haar_unitary(m, seed=seed)
-    seq, ops = draw_sample_counted(u, n, seed=seed)
+    seq, ops = draw_sample_counted(u, n, rng=np.random.default_rng(seed))
     table = _PrefixTable(u.matrix[np.asarray(seq.row_order) - 1])
     counts = {}
     for k in range(1, n + 1):
@@ -472,49 +472,23 @@ def test_single_boson_sampling_distribution():
     assert np.all(np.abs(counts / draws - expected) < three_sigma)
 
 
-def test_hong_ou_mandel_sampling():
-    batch = sample_batch(BEAMSPLITTER, 2, 10_000, master_seed=5)
-    counts = empirical_counts(batch)
-    assert counts.get((1, 1), 0) == 0
-    assert abs(counts[(2, 0)] / 10_000 - 0.5) < 0.015
-
-
 def test_sample_seed_reproducible():
     u = haar_unitary(5, seed=2)
-    assert draw_sample_counted(u, 3, seed=9) == draw_sample_counted(u, 3, seed=9)
-
-
-@pytest.mark.parametrize("seed", [1.5, "3", np.nan, -1])
-def test_sample_rejects_bad_seeds(seed):
-    u = haar_unitary(4, seed=1)
-    with pytest.raises(ValueError, match="^seed must"):
-        draw_sample_counted(u, 2, seed=seed)
+    first = draw_sample_counted(u, 3, rng=np.random.default_rng(9))
+    assert first == draw_sample_counted(u, 3, rng=np.random.default_rng(9))
+    assert first[0].seed is None
 
 
 @pytest.mark.parametrize("n_bosons", [True, np.True_])
 def test_sample_refuses_a_boolean_boson_count(n_bosons):
     with pytest.raises(ValueError, match="^n_bosons must be an integer"):
-        draw_sample_counted(haar_unitary(4, seed=1), n_bosons, seed=1)
+        draw_sample_counted(haar_unitary(4, seed=1), n_bosons, rng=np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("seed", [2.0, np.int64(2)])
-def test_integer_valued_seed_draws_like_int(seed):
-    u = haar_unitary(4, seed=1)
-    seq = draw_sample_counted(u, 2, seed=seed)[0]
-    assert seq == draw_sample_counted(u, 2, seed=2)[0]
-    assert seq.seed == 2 and type(seq.seed) is int
-
-
-def test_sample_refuses_a_generator_and_a_seed_together():
-    with pytest.raises(ValueError, match="not both"):
-        draw_sample_counted(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5), seed=7)
-    assert draw_sample_counted(haar_unitary(4, seed=1), 2, rng=np.random.default_rng(5))[0].seed is None
-
-
-@pytest.mark.parametrize("rng", [5, np.random.SeedSequence(5), np.random.RandomState(5)])
+@pytest.mark.parametrize("rng", [5, np.random.SeedSequence(5), np.random.RandomState(5), None])
 def test_sample_refuses_a_non_generator_rng(rng):
     u = haar_unitary(5, seed=1)
-    with pytest.raises(TypeError, match="seed="):
+    with pytest.raises(TypeError, match="^rng must be a numpy Generator"):
         draw_sample_counted(u, 2, rng)
 
 
@@ -529,17 +503,25 @@ def test_draw_advances_a_generator_by_a_permutation_and_n_uniforms(n):
     assert g.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("n, error", [(4, UnsupportedRegimeError), (0, ValueError)])
+def test_refused_draw_leaves_its_generator_untouched(n, error):
+    g, twin = np.random.default_rng(8), np.random.default_rng(8)
+    with pytest.raises(error):
+        draw_sample_counted(haar_unitary(3, seed=2), n, rng=g)
+    assert g.bit_generator.state == twin.bit_generator.state
+
+
 def test_sample_rejects_too_many_bosons():
     u = haar_unitary(3, seed=2)
     with pytest.raises(UnsupportedRegimeError):
-        draw_sample_counted(u, 4, seed=0)
+        draw_sample_counted(u, 4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        draw_sample_counted(u, 0, seed=0)
+        draw_sample_counted(u, 0, rng=np.random.default_rng(0))
 
 
 def test_sample_counted_counters_match_prefix_model():
     u = haar_unitary(6, seed=8)
-    seq, ops = draw_sample_counted(u, 6, seed=4)
+    seq, ops = draw_sample_counted(u, 6, rng=np.random.default_rng(4))
     assert len(ops.per_step_gray) == 6
     assert ops.per_step_gray[0] == 0
     occ = np.zeros(6, dtype=int)
@@ -556,7 +538,7 @@ def test_paper_scale_chains_are_pinned():
     u = haar_unitary(60, seed=2026)
     records = []
     for s in range(10):
-        seq, ops = draw_sample_counted(u, 20, seed=s)
+        seq, ops = draw_sample_counted(u, 20, rng=np.random.default_rng(s))
         assert max(ops.per_step_gray) + 1 > INNER_STATES
         records.append([list(seq.ports), list(seq.row_order), list(ops.per_step_gray)])
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
@@ -632,7 +614,7 @@ def test_impossible_boson_counts_fail_before_any_work():
 def test_non_integer_boson_counts_fail_before_any_work(n):
     u = haar_unitary(4, seed=1)
     with pytest.raises(ValueError, match="integers only"):
-        draw_sample_counted(u, n, seed=0)
+        draw_sample_counted(u, n, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="integers only"):
         sample_batch(u, n, 2, 1)
     with pytest.raises(ValueError, match="integers only"):
@@ -657,7 +639,7 @@ def test_integer_valued_counts_sample_like_ints():
     assert sample_batch(u, np.int64(2), np.int32(3), 1) == reference
     assert sample_batch(u, 2, 3, 1.0) == sample_batch(u, 2, 3, np.uint8(1)) == reference
     assert sample_batch(u, 2, 1, 2**70).master_seed == 2**70  # past int64, as SeedSequence allows
-    draws = [draw_sample_counted(u, n, seed=5) for n in (2.0, np.int8(2), 2)]
+    draws = [draw_sample_counted(u, n, rng=np.random.default_rng(5)) for n in (2.0, np.int8(2), 2)]
     assert draws[0] == draws[1] == draws[2]
 
 
@@ -693,9 +675,9 @@ def test_every_draw_checks_the_boson_count_once(monkeypatch):
     sample_batch(u, 3, 20, 1)
     assert len(calls) == 1
     assert len(count_checks) == 2  # count and master_seed, never N per sample
-    draw_sample_counted(u, 3, seed=1)
+    draw_sample_counted(u, 3, rng=np.random.default_rng(1))
     assert len(calls) == 2
-    assert len(count_checks) == 3  # the seed
+    assert len(count_checks) == 2  # a direct draw gates no seed
 
 
 def test_batch_empty():
@@ -981,7 +963,7 @@ def test_every_row_order_entrance_refuses_non_permutations(what, values, message
 @pytest.mark.parametrize(
     "entrance",
     [
-        lambda u: draw_sample_counted(u, 4, seed=0),
+        lambda u: draw_sample_counted(u, 4, rng=np.random.default_rng(0)),
         lambda u: brute_force_distribution(u, 4),
         lambda u: conditional_weights(u, (1, 2, 3, 4), ()),
         lambda u: output_probability(u, [4, 0, 0]),
@@ -994,7 +976,7 @@ def test_more_bosons_than_ports_is_one_regime_error(entrance):
 
 
 UNITARY_ENTRANCES = {
-    "draw_sample_counted": lambda u: draw_sample_counted(u, 2, seed=0),
+    "draw_sample_counted": lambda u: draw_sample_counted(u, 2, rng=np.random.default_rng(0)),
     "sample_batch": lambda u: sample_batch(u, 2, 3, 0),
     "conditional_weights": lambda u: conditional_weights(u, (1, 2), (1,)),
     "brute_force_distribution": lambda u: brute_force_distribution(u, 2),
