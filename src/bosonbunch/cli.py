@@ -1,8 +1,9 @@
 """Command-line surface: one binary, machine-readable output.
 
 This module alone knows the output formats: the field names, their order,
-and the CSV and JSON encodings of ``sample`` records and ``dist`` rows. The
-library returns values; one CSV line writer serves every table.
+and the CSV and JSON encodings of the ``sample`` header and records, the
+``dist`` rows and the ``bounds`` report with the formula behind each field.
+The library returns values; one CSV line writer serves every table.
 
 Exit codes are stable: 0 success, 1 runtime or numeric failure, 2 usage or
 validation error.
@@ -12,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
 from .errors import _check_count
 from .matrices import (
+    fingerprint,
     haar_unitary,
     load_matrix,
     load_unitary,
@@ -40,6 +43,17 @@ from .validate import (
 
 VERIFY_TVD_LIMIT = 0.02
 VERIFY_P_LIMIT = 0.001
+
+_FORMULAS = {
+    "tail_half_width": "2*sqrt((1+rho)/N*ln(2/epsilon))",
+    "radix": "max(1, (1+rho)/(1+delta))",
+    "bunching_cutoff": "ln(N/(rho*epsilon))/ln((1+rho)/rho)",
+    "prob_lower_log2": "log2(N * 2^((1-delta)*N/(1+rho)))",
+    "prob_upper_log2": "log2(N * (1+r)^(N/r))",
+    "sample_lower_log2": "log2(N * 2^((1-delta)*N/(1+rho)) + M*N^2)",
+    "sample_upper_log2": "log2((m+2) * N * (1+r)^(N/r) + M*N^2)",
+    "n_equiv": "N/(1+rho)",
+}
 
 
 def _complex_str(value: complex) -> str:
@@ -92,11 +106,11 @@ def cmd_sample(args) -> int:
     u = load_unitary(args.unitary)
     batch = sample_batch(u, args.bosons, args.count, args.seed)
     header = {
-        "unitary_sha256": batch.unitary_sha256,
-        "n_bosons": batch.n_bosons,
-        "n_ports": batch.n_ports,
-        "master_seed": batch.master_seed,
-        "count": len(batch.samples),
+        "unitary_sha256": fingerprint(u.matrix),
+        "n_bosons": args.bosons,
+        "n_ports": u.dim,
+        "master_seed": args.seed,
+        "count": args.count,
     }
     fields = ("idx", "ports", "config", "ops")
     rows = (
@@ -143,7 +157,7 @@ def cmd_dist(args) -> int:
 
 def cmd_bounds(args) -> int:
     report = sampling_cost_bounds(args.bosons, args.modes, args.epsilon)
-    print(json.dumps(report.as_dict(), indent=2))
+    print(json.dumps({**dataclasses.asdict(report), "formulas": _FORMULAS}, indent=2))
     return 0
 
 
@@ -171,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("haar", help="generate a Haar-random unitary as JSON")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_haar)
 

@@ -86,17 +86,16 @@ def _check_unitary(u, caller: str) -> None:
         raise TypeError(f"{caller} expects a UnitaryMatrix")
 
 
-def haar_unitary(dim: int, seed: int | None = None) -> UnitaryMatrix:
+def haar_unitary(dim: int, seed: int) -> UnitaryMatrix:
     """Draw a ``dim`` x ``dim`` unitary from the Haar measure.
 
     QR-factorizes a matrix of independent standard complex Gaussians and
     folds the phases of the R diagonal back into Q, which removes the QR
-    sign ambiguity and makes the result exactly Haar distributed. The draw
-    is deterministic for a fixed seed, a non-negative integer.
+    sign ambiguity and makes the result exactly Haar distributed. The seed,
+    a non-negative integer, is required, so every draw is reproducible.
     """
     dim = _check_count(dim, "dim")
-    if seed is not None:
-        seed = _check_count(seed, "seed", minimum=0)
+    seed = _check_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre)

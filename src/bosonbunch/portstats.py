@@ -16,7 +16,7 @@ to log-gamma space.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -210,18 +210,6 @@ def max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:
     return math.log(n_bosons / (rho * epsilon)) / math.log((1.0 + rho) / rho)
 
 
-_FORMULAS = {
-    "tail_half_width": "2*sqrt((1+rho)/N*ln(2/epsilon))",
-    "radix": "max(1, (1+rho)/(1+delta))",
-    "bunching_cutoff": "ln(N/(rho*epsilon))/ln((1+rho)/rho)",
-    "prob_lower_log2": "log2(N * 2^((1-delta)*N/(1+rho)))",
-    "prob_upper_log2": "log2(N * (1+r)^(N/r))",
-    "sample_lower_log2": "log2(N * 2^((1-delta)*N/(1+rho)) + M*N^2)",
-    "sample_upper_log2": "log2((m+2) * N * (1+r)^(N/r) + M*N^2)",
-    "n_equiv": "N/(1+rho)",
-}
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Operation-count bounds holding for all but an epsilon fraction of
@@ -250,9 +238,6 @@ class BoundsReport:
     bunching_cutoff: float | None = None
     sample_lower_log2: float | None = None
     sample_upper_log2: float | None = None
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "formulas": dict(_FORMULAS)}
 
 
 def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> BoundsReport:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
-from .matrices import UnitaryMatrix, _check_unitary, fingerprint
+from .matrices import UnitaryMatrix, _check_unitary
 from .permanent import INNER_STATES, _expansion_sum, _level_table, _unit_roots
 
 __all__ = [
@@ -306,12 +306,11 @@ def draw_sample_counted(
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A reproducible batch of chain samples from one unitary."""
+    """A reproducible batch of chain samples from one unitary on ``n_ports``
+    ports; sample i records ``seed = (master_seed, i)``, and ``gray_steps``
+    holds each sample's step count."""
 
-    unitary_sha256: str
-    n_bosons: int
     n_ports: int
-    master_seed: int
     samples: tuple[PortSequence, ...]
     gray_steps: tuple[int, ...]
 
@@ -333,11 +332,4 @@ def sample_batch(
         seq, ops = _chain_sample(u, n_bosons, rng, seed_note=(master_seed, i))
         samples.append(seq)
         steps.append(ops.gray_steps)
-    return SampleBatch(
-        unitary_sha256=fingerprint(u.matrix),
-        n_bosons=n_bosons,
-        n_ports=u.dim,
-        master_seed=master_seed,
-        samples=tuple(samples),
-        gray_steps=tuple(steps),
-    )
+    return SampleBatch(n_ports=u.dim, samples=tuple(samples), gray_steps=tuple(steps))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bosonbunch
-from bosonbunch import UnitaryMatrix, cli, save_matrix
+from bosonbunch import UnitaryMatrix, cli, fingerprint, load_unitary, save_matrix
 from bosonbunch.cli import main
 import helpers
 from helpers import platform_note
@@ -39,6 +39,13 @@ def test_haar_same_seed_same_bytes(tmp_path):
     assert main(["haar", "--dim", "5", "--seed", "3", "--out", str(a)]) == 0
     assert main(["haar", "--dim", "5", "--seed", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_haar_requires_a_seed(tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert main(["haar", "--dim", "4", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_haar_rejects_dim_zero(tmp_path, capsys):
@@ -264,6 +271,7 @@ def test_sample_jsonl_header_and_record_fields(beamsplitter_path, capsys):
     assert header["n_bosons"] == 2 and header["n_ports"] == 2
     assert header["master_seed"] == 9 and header["count"] == 4
     assert len(header["unitary_sha256"]) == 64
+    assert header["unitary_sha256"] == fingerprint(load_unitary(beamsplitter_path))
     assert len(docs) == 4
     for i, doc in enumerate(docs):
         assert list(doc) == ["idx", "ports", "config", "ops"]

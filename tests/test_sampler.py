@@ -26,6 +26,7 @@ from bosonbunch import (
     haar_unitary,
     output_probability,
     permanent_naive,
+    permanent_ryser,
     repeated_column_expansion,
     sample_batch,
     save_matrix,
@@ -406,6 +407,38 @@ def test_chain_weights_match_conditional_weights(n, m, seed):
     assert (table.t is None) == (m == 60)
 
 
+@pytest.mark.parametrize("n, m, spot_checks", [(12, 24, None), (16, 48, None), (20, 60, 3)])
+def test_chain_steps_match_ryser(n, m, spot_checks):
+    # Ryser shares no code with the chain's expansion. Each step's weights,
+    # scaled to the picked port, must match |perm|^2 of each candidate's k x k
+    # block to 1e-11 relative wherever that is above 1e-8 of the picked port's.
+    # Candidates are every port, or the picked one plus ``spot_checks`` fixed
+    # random ones. At (16, 48) and (20, 60) the chain drops its carried table,
+    # so the expansion's outer loop is replayed too.
+    u = haar_unitary(m, seed=m)
+    seq, _ = draw_sample_counted(u, n, rng=np.random.default_rng(n))
+    rows = np.asarray(seq.row_order) - 1
+    picks = [q - 1 for q in seq.ports]
+    table = _PrefixTable(u.matrix[rows])
+    spots = np.random.default_rng(n + 1)
+    worst = 0.0
+    for k, pick in enumerate(picks, start=1):
+        weights = table.weights(k)[0]
+        if spot_checks is None:
+            ports = range(m)
+        else:
+            ports = sorted({pick, *spots.choice(m, spot_checks, replace=False).tolist()})
+        exact = {l: abs(permanent_ryser(u.matrix[np.ix_(rows[:k], picks[: k - 1] + [l])])) ** 2 for l in ports}
+        for l in ports:
+            reference = exact[l] / exact[pick]
+            if reference > 1e-8:
+                worst = max(worst, abs(weights[l] / weights[pick] - reference) / reference)
+        if k < n:
+            table.add(pick)
+    assert worst <= 1e-11
+    assert (table.t is None) == (n > 12)
+
+
 def test_table_drops_at_the_add_where_the_model_passes_inner_states():
     # the table reads its next size off itself; that size must be the model's
     # pinned state count, and the drop must fall where that count first
@@ -509,14 +542,6 @@ def test_refused_draw_leaves_its_generator_untouched(n, error):
     with pytest.raises(error):
         draw_sample_counted(haar_unitary(3, seed=2), n, rng=g)
     assert g.bit_generator.state == twin.bit_generator.state
-
-
-def test_sample_rejects_too_many_bosons():
-    u = haar_unitary(3, seed=2)
-    with pytest.raises(UnsupportedRegimeError):
-        draw_sample_counted(u, 4, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        draw_sample_counted(u, 0, rng=np.random.default_rng(0))
 
 
 def test_sample_counted_counters_match_prefix_model():
@@ -638,7 +663,7 @@ def test_integer_valued_counts_sample_like_ints():
     assert sample_batch(u, 2.0, 3.0, 1) == reference
     assert sample_batch(u, np.int64(2), np.int32(3), 1) == reference
     assert sample_batch(u, 2, 3, 1.0) == sample_batch(u, 2, 3, np.uint8(1)) == reference
-    assert sample_batch(u, 2, 1, 2**70).master_seed == 2**70  # past int64, as SeedSequence allows
+    assert sample_batch(u, 2, 1, 2**70).samples[0].seed == (2**70, 0)  # past int64, as SeedSequence allows
     draws = [draw_sample_counted(u, n, rng=np.random.default_rng(5)) for n in (2.0, np.int8(2), 2)]
     assert draws[0] == draws[1] == draws[2]
 
