@@ -21,22 +21,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, _check_boson_count, _check_count
+from .errors import UnsupportedRegimeError, _check_boson_count
 
 RATIONAL_LIMIT = 400  # above this N + M, binomial doubles come from log-gamma
-BISECTION_ITERATIONS = 200
 CROSSING_TOLERANCE = 1e-12
 
 __all__ = [
     "PortDistribution",
     "BoundsReport",
     "occupied_ports_pmf",
-    "mean_occupied_ports",
-    "binomial_envelope",
-    "entropy",
     "solve_tail_crossings",
-    "tail_half_width",
-    "max_bunching_cutoff",
     "probability_cost_bounds",
     "sampling_cost_bounds",
 ]
@@ -48,12 +42,11 @@ class PortDistribution:
 
     ``exact`` carries the pmf as rationals (the identity anchor); ``pmf`` and
     ``envelope`` are the double-precision pmf and envelope values at the same
-    support points. ``x`` is the envelope success rate rho / (1 + rho).
+    support points.
     """
 
     n_bosons: int
     n_ports: int
-    x: float
     exact: tuple[Fraction, ...]
     pmf: np.ndarray
     envelope: np.ndarray
@@ -61,19 +54,12 @@ class PortDistribution:
     def support(self) -> range:
         return range(1, self.n_bosons + 1)
 
-    def mode(self) -> int:
-        return 1 + max(range(self.n_bosons), key=lambda i: self.exact[i])
 
-
-def binomial_envelope(n_bosons: int, n_ports: int, n: int) -> float:
-    """Binomial term C(M, n) x^n (1-x)^(M-n) at x = rho / (1 + rho): up to
-    N + M = ``RATIONAL_LIMIT`` the integer ratio C(M, n) N^n M^(M-n) / (N + M)^M
-    correctly rounded, above it from log-gamma."""
-    n_bosons = _check_count(n_bosons, "n_bosons")
-    n_ports = _check_count(n_ports, "n_ports")
-    n = _check_count(n, "n", minimum=0)
-    if n > n_ports:
-        raise ValueError(f"n must lie in 0..{n_ports}, got {n}")
+def _binomial_envelope(n_bosons: int, n_ports: int, n: int) -> float:
+    """Binomial term C(M, n) x^n (1-x)^(M-n) at x = rho / (1 + rho), for
+    checked counts and 0 <= n <= M: up to N + M = ``RATIONAL_LIMIT`` the
+    integer ratio C(M, n) N^n M^(M-n) / (N + M)^M correctly rounded, above
+    it from log-gamma."""
     if n_bosons + n_ports <= RATIONAL_LIMIT:
         return math.comb(n_ports, n) * n_bosons**n * n_ports ** (n_ports - n) / (n_bosons + n_ports) ** n_ports
     log_x = math.log(n_bosons) - math.log(n_bosons + n_ports)
@@ -98,29 +84,19 @@ def occupied_ports_pmf(n_bosons: int, n_ports: int) -> PortDistribution:
         for n in range(1, n_bosons + 1)
     )
     envelope = np.array(
-        [binomial_envelope(n_bosons, n_ports, n) for n in range(1, n_bosons + 1)]
+        [_binomial_envelope(n_bosons, n_ports, n) for n in range(1, n_bosons + 1)]
     )
     return PortDistribution(
         n_bosons=n_bosons,
         n_ports=n_ports,
-        x=n_bosons / (n_bosons + n_ports),
         exact=exact,
         pmf=np.array([float(p) for p in exact]),
         envelope=envelope,
     )
 
 
-def mean_occupied_ports(n_bosons: int, n_ports: int) -> float:
-    """Average occupied-port count MN / (M + N - 1)."""
-    n_bosons = _check_count(n_bosons, "n_bosons")
-    n_ports = _check_count(n_ports, "n_ports")
-    return n_ports * n_bosons / (n_ports + n_bosons - 1)
-
-
-def entropy(z: float) -> float:
-    """Natural-log binary entropy, with H(0) = H(1) = 0 by continuity."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"entropy is defined on [0, 1], got {z}")
+def _entropy(z: float) -> float:
+    """Natural-log binary entropy on [0, 1], with H(0) = H(1) = 0 by continuity."""
     if z == 0.0 or z == 1.0:
         return 0.0
     return -z * math.log(z) - (1.0 - z) * math.log1p(-z)
@@ -134,18 +110,17 @@ def _bisect(f, lo: float, hi: float) -> float:
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(BISECTION_ITERATIONS):
+    while True:  # halving reaches adjacent doubles within about 1,100 steps
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
+            return mid
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
         if (f_mid < 0.0) == (f_lo < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = mid
 
 
 def solve_tail_crossings(rho: float) -> tuple[float, float]:
@@ -168,44 +143,35 @@ def solve_tail_crossings(rho: float) -> tuple[float, float]:
         )
     target = math.log1p(rho)
     peak = 1.0 / (1.0 + rho)
-    f = lambda z: entropy(z) - target
+    f = lambda z: _entropy(z) - target
     z_left = _bisect(f, 0.0, peak)
     z_right = _bisect(f, peak, 1.0)
     delta_minus = 1.0 - (1.0 + rho) * z_left
     delta_plus = (1.0 + rho) * z_right - 1.0
     for z in (z_left, z_right):
-        if abs(entropy(z) - target) > CROSSING_TOLERANCE:
+        if abs(_entropy(z) - target) > CROSSING_TOLERANCE:
             raise RuntimeError(
-                f"bisection residual {abs(entropy(z) - target):.3e} exceeds"
+                f"bisection residual {abs(_entropy(z) - target):.3e} exceeds"
                 f" {CROSSING_TOLERANCE:.0e} at rho = {rho}"
             )
     return delta_minus, delta_plus
 
 
-def tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
+def _tail_half_width(n_bosons: int, rho: float, epsilon: float) -> float:
     """Half-width delta = 2 sqrt((1 + rho) / N * ln(2 / epsilon)) such that
     the occupied-port count stays within (1 +- delta) N / (1 + rho) except
-    with probability epsilon."""
-    n_bosons = _check_count(n_bosons, "n_bosons")
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    with probability epsilon, for a checked N, rho > 0 and 0 < epsilon < 1."""
     delta = 2.0 * math.sqrt((1.0 + rho) / n_bosons * math.log(2.0 / epsilon))
     if not math.isfinite(delta):
         raise ValueError(f"the half-width overflows at rho = {rho} and epsilon = {epsilon}")
     return delta
 
 
-def max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:
+def _max_bunching_cutoff(n_bosons: int, rho: float, epsilon: float) -> float:
     """Occupation level m = ln(N / (rho epsilon)) / ln((1 + rho) / rho) that
-    the largest port occupation stays under with probability 1 - epsilon."""
-    n_bosons = _check_count(n_bosons, "n_bosons")
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if rho > 1.0:
-        raise UnsupportedRegimeError(f"rho must lie in (0, 1], got {rho}")
-    if not 0.0 < epsilon < 1.0 or rho * epsilon == 0.0 or n_bosons / (rho * epsilon) == math.inf:
+    the largest port occupation stays under with probability 1 - epsilon,
+    for a checked N, 0 < rho <= 1 and 0 < epsilon < 1."""
+    if rho * epsilon == 0.0 or n_bosons / (rho * epsilon) == math.inf:
         raise ValueError(f"epsilon must lie in (0, 1) with N / (rho epsilon) finite, got {epsilon}")
     return math.log(n_bosons / (rho * epsilon)) / math.log((1.0 + rho) / rho)
 
@@ -248,8 +214,10 @@ def probability_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> Boun
     the effective radix max(1, (1+rho)/(1+delta)).
     """
     n_bosons, n_ports = _check_boson_count(n_bosons, n_ports)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     rho = n_bosons / n_ports
-    delta = tail_half_width(n_bosons, rho, epsilon)
+    delta = _tail_half_width(n_bosons, rho, epsilon)
     radix = max(1.0, (1.0 + rho) / (1.0 + delta))
     log2_n = math.log2(n_bosons)
     n_minus = (1.0 - delta) * n_bosons / (1.0 + rho)
@@ -279,7 +247,7 @@ def sampling_cost_bounds(n_bosons: int, n_ports: int, epsilon: float) -> BoundsR
     per-step costs under the bunching cutoff m.
     """
     base = probability_cost_bounds(n_bosons, n_ports, epsilon)
-    cutoff = max_bunching_cutoff(n_bosons, base.rho, epsilon)
+    cutoff = _max_bunching_cutoff(n_bosons, base.rho, epsilon)
     overhead_log2 = math.log2(n_ports) + 2.0 * math.log2(n_bosons)
     sample_lower = float(np.logaddexp2(base.prob_lower_log2, overhead_log2))
     sample_upper = float(

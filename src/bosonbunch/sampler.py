@@ -24,6 +24,7 @@ This module holds only the chain; ``validate`` holds what checks it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -176,14 +177,15 @@ class _PrefixTable:
 
     def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Squared amplitudes of the k-th port, their running sum and the
-        step count. A step whose total is not a positive finite number (an
-        underflow on a long prefix, or rows far from unitary, where numpy
-        also warns of the overflow) is taken again on its accumulators
-        divided by their largest modulus; all-zero accumulators stay zero."""
+        step count. A step whose total is not a positive normal number (an
+        underflow on a long prefix, subnormal totals included, or rows far
+        from unitary, where numpy also warns of the overflow) is taken again
+        on its accumulators divided by their largest modulus; all-zero
+        accumulators stay zero."""
         acc, steps = self.accumulators(k)
         w = np.abs(acc @ self.mp[:k]) ** 2
         cdf = w.cumsum()
-        if not 0.0 < cdf[-1] < math.inf:
+        if not sys.float_info.min <= cdf[-1] < math.inf:
             scale = np.abs(acc).max()
             if scale > 0.0:
                 w = np.abs((acc / scale) @ self.mp[:k]) ** 2
@@ -279,7 +281,7 @@ def _chain_sample(
             raise RuntimeError("conditional weights vanished; cannot continue the chain")
         per_step.append(gray)
 
-        pick = min(int(cdf.searchsorted(r * cdf[-1], side="right")), m_ports - 1)
+        pick = int(cdf.searchsorted(r * cdf[-1], side="right"))
         ports.append(pick + 1)
         if k < n_bosons:
             table.add(pick)

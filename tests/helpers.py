@@ -114,6 +114,11 @@ def partitions(n, largest=None):
             yield (first,) + rest
 
 
+def pmf_mode(dist):
+    """The most likely occupied-port count of a ``PortDistribution``."""
+    return 1 + max(range(dist.n_bosons), key=lambda i: dist.exact[i])
+
+
 def compositions(total, parts):
     """All non-negative integer vectors of length ``parts`` summing to total."""
     if parts == 1:

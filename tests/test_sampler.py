@@ -100,11 +100,12 @@ def test_weights_match_naive_permanent_oracle():
         assert np.allclose(w, oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("bosons", [20, 120])
+@pytest.mark.parametrize("bosons", [20, 116, 117, 120])
 def test_single_port_prefix_weights_match_the_closed_form(bosons):
     # L bosons on port q: the permanent over rows 1..L+1 is L! prod_i u_iq times
-    # sum_i u_il / u_iq, whose square cannot underflow; the unscaled product
-    # underflows to 0 at L = 120, so the weights must be rescaled like the chain's
+    # sum_i u_il / u_iq, whose square cannot underflow; the unscaled total is
+    # subnormal at L = 116 and 117 and 0 at L = 120, so the weights must be
+    # rescaled like the chain's
     u = haar_unitary(300, seed=1)
     w = conditional_weights(u, range(1, 251), [1] * bosons)
     assert 0.0 < w.sum() < math.inf
