@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BrokenPipeError as exc:  # the reader closed stdout: not a usage error
+        print(f"failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

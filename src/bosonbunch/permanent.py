@@ -157,14 +157,14 @@ def _level_table(t: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return (t[:, None, :] + shifts[:, :, None]).reshape(t.shape[0], -1)
 
 
-def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool, term):
+def _expansion_sum(block: np.ndarray, radices: Sequence[int], term):
     """Sum of ``term(p, t)`` over the states of the roots-of-unity expansion,
     returned with the number of states.
 
     Column j of the K-row ``block`` carries a variable over the
-    ``radices[j]``-th roots of unity. With ``fix_minimal`` the variable of
-    the first least-radix column is pinned to 1; the others are summed, so
-    there are prod(summed radices) states. ``term`` receives chunks of them:
+    ``radices[j]``-th roots of unity. The variable of the first least-radix
+    column is pinned to 1 and the others are summed, so there are
+    prod(radices) / min(radices) states. ``term`` receives chunks of them:
     ``p[s]`` is the product of state s's variables (``p`` may be shared by
     calls, read-only) and ``t[:, s]`` its K row sums. The summed columns,
     sorted by radix, fill an inner table of at most ``INNER_STATES``
@@ -180,8 +180,7 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
     ``prod`` folds and BLAS dots, not of a pairwise ``add.reduce``: no
     ``.sum()`` here or in ``term``.
     """
-    n_rows = block.shape[0]
-    fixed = radices.index(min(radices)) if fix_minimal else None
+    fixed = radices.index(min(radices))
     summed = sorted((j for j in range(len(radices)) if j != fixed), key=radices.__getitem__)
     states = math.prod(radices[j] for j in summed)
     if states > 2 ** (GRAY_LIMIT - 1):
@@ -194,9 +193,7 @@ def _expansion_sum(block: np.ndarray, radices: Sequence[int], fix_minimal: bool,
     caller_buffer = np.setbufsize(UFUNC_BUFFER) if states > UFUNC_BUFFER else None
     try:
         p = _root_products(tuple(radices[j] for j in summed[:n_inner]))
-        t = np.zeros((n_rows, 1), dtype=np.complex128)
-        if fixed is not None:
-            t[:, 0] = block[:, fixed]
+        t = block[:, fixed, None].copy()
         for j in summed[:n_inner]:
             t = _level_table(t, block[:, j, None] * _unit_roots(radices[j]))
 
@@ -219,19 +216,15 @@ def _row_products(p: np.ndarray, t: np.ndarray) -> complex:
     return p @ t.prod(axis=0)
 
 
-def _repeated_permanent(
-    block: np.ndarray, mult: list[int], fix_minimal: bool = True
-) -> tuple[complex, int]:
+def _repeated_permanent(block: np.ndarray, mult: list[int]) -> tuple[complex, int]:
     """Permanent of ``block`` with column j repeated ``mult[j]`` times, with
     the number of enumerated states; no validation."""
-    total, states = _expansion_sum(block, [m + 1 for m in mult], fix_minimal, _row_products)
+    total, states = _expansion_sum(block, [m + 1 for m in mult], _row_products)
     scale = math.prod(map(math.factorial, mult)) / states
     return complex(total * scale), states
 
 
-def repeated_column_expansion(
-    column_block, multiplicities: Sequence[int], fix_minimal: bool = True
-) -> tuple[complex, int]:
+def repeated_column_expansion(column_block, multiplicities: Sequence[int]) -> tuple[complex, int]:
     """Permanent of the matrix whose j-th column of ``column_block`` appears
     ``multiplicities[j]`` times, returned with the Gray-step count.
 
@@ -241,13 +234,12 @@ def repeated_column_expansion(
     the prescribed number of times, which recovers the standard permanent
     after multiplying by the product of multiplicity factorials.
 
-    With ``fix_minimal`` the variable of the first least-repeated column is
-    pinned to 1 and dropped from the enumeration, which is valid precisely
-    because that column's multiplicity is minimal. Every state's row sums are
-    built afresh from table entries, not updated step by step, so there is no
-    drift along the walk. The returned count is the number of states less
-    one, the steps a Gray walk over them would take:
-    prod(m_j + 1) / min(m_j + 1) - 1 with the pin, prod(m_j + 1) - 1 without.
+    The variable of the first least-repeated column is pinned to 1 and
+    dropped from the enumeration, which is valid precisely because that
+    column's multiplicity is minimal. Every state's row sums are built afresh
+    from table entries, not updated step by step, so there is no drift along
+    the walk. The returned count is the number of states less one, the steps
+    a Gray walk over them would take: prod(m_j + 1) / min(m_j + 1) - 1.
     """
     a = _as_complex_matrix(column_block)
     mult = _check_counts(multiplicities, "multiplicities", minimum=1).tolist()
@@ -258,7 +250,7 @@ def repeated_column_expansion(
             f"column block must have shape ({n_rows}, {n_cols}) for multiplicities"
             f" {mult}, got {a.shape}"
         )
-    value, states = _repeated_permanent(a, mult, fix_minimal)
+    value, states = _repeated_permanent(a, mult)
     return value, states - 1
 
 

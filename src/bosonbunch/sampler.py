@@ -172,7 +172,7 @@ class _PrefixTable:
             return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
         occupied = sorted(self.counts)
         radices = [self.counts[j] + 1 for j in occupied]
-        acc, states = _expansion_sum(self.mp[:k, occupied], radices, True, _leave_one_out)
+        acc, states = _expansion_sum(self.mp[:k, occupied], radices, _leave_one_out)
         return acc, states - 1
 
     def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -35,11 +35,6 @@ from helpers import expand_columns, partitions, pmf_mode, random_complex, rel_er
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
-# counter records accumulated by the earlier suites and re-asserted by the
-# cost-model criterion: (multiplicity pattern, measured gray steps)
-_COUNTER_RECORDS: list[tuple[tuple[int, ...], int]] = []
-
-
 def _verdict(number: int, description: str, ok: bool) -> None:
     line = f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {description}"
     print(line)
@@ -68,8 +63,7 @@ def test_criterion_1_permanent_oracle_suite():
         for pattern in partitions(n):
             for _ in range(3):
                 block = random_complex(rng, (n, len(pattern)))
-                value, steps = repeated_column_expansion(block, pattern)
-                _COUNTER_RECORDS.append((pattern, steps))
+                value, _ = repeated_column_expansion(block, pattern)
                 oracle = permanent_naive(expand_columns(block, pattern))
                 worst = max(worst, rel_err(value, oracle))
     elapsed = time.perf_counter() - started
@@ -81,18 +75,23 @@ def test_criterion_1_permanent_oracle_suite():
 
 
 def test_criterion_2_full_vs_reduced_expansion():
+    # the pinned expansion against Ryser on the expanded matrix, which shares
+    # no code with the expansion kernel
     rng = np.random.default_rng(20_240_002)
     all_patterns = [p for n in range(2, 9) for p in partitions(n)]
     worst = 0.0
-    for i in range(100):
-        pattern = all_patterns[int(rng.integers(len(all_patterns)))]
+    exact = True
+    for pattern in all_patterns:
         block = random_complex(rng, (sum(pattern), len(pattern)))
-        full, full_steps = repeated_column_expansion(block, pattern, fix_minimal=False)
-        reduced, reduced_steps = repeated_column_expansion(block, pattern, fix_minimal=True)
-        _COUNTER_RECORDS.append((pattern, reduced_steps))
-        assert full_steps == math.prod(m + 1 for m in pattern) - 1
-        worst = max(worst, rel_err(reduced, full))
-    _verdict(2, f"full vs reduced worst rel err {worst:.2e} (<1e-12)", worst < 1e-12)
+        value, steps = repeated_column_expansion(block, pattern)
+        exact &= steps == _gray_steps_model(pattern)
+        worst = max(worst, rel_err(value, permanent_ryser(expand_columns(block, pattern))))
+    _verdict(
+        2,
+        f"pinned expansion vs Ryser on {len(all_patterns)} partitions worst rel err"
+        f" {worst:.2e} (<1e-12), steps prod(m+1)/min(m+1)-1",
+        worst < 1e-12 and exact,
+    )
 
 
 def test_criterion_3_sampler_exactness():
@@ -175,9 +174,13 @@ def test_criterion_6_tail_crossing_solver():
 
 
 def test_criterion_7_cost_model_exactness():
-    # permanents recorded by criteria 1 and 2
-    assert _COUNTER_RECORDS, "earlier suites must have recorded counters"
-    exact = all(steps == _gray_steps_model(pattern) for pattern, steps in _COUNTER_RECORDS)
+    # permanents: one per partition of n = 2..8
+    rng = np.random.default_rng(20_240_007)
+    patterns = [p for n in range(2, 9) for p in partitions(n)]
+    exact = all(
+        repeated_column_expansion(random_complex(rng, (sum(p), len(p))), p)[1] == _gray_steps_model(p)
+        for p in patterns
+    )
 
     # chain samples: every step's counter must equal the prefix formula
     u = haar_unitary(5, seed=7)
@@ -191,7 +194,7 @@ def test_criterion_7_cost_model_exactness():
             occ[port - 1] += 1
     _verdict(
         7,
-        f"gray counters equal prod(m+1)/min(m+1)-1 on {len(_COUNTER_RECORDS)} permanents"
+        f"gray counters equal prod(m+1)/min(m+1)-1 on {len(patterns)} permanents"
         " and 200 sampled chains (integer equality)",
         exact,
     )

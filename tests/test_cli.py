@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -244,6 +245,24 @@ def test_sample_runtime_failure_exits_one_with_no_output(beamsplitter_path, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "failure: the chain diverged\n"
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample", "-n", "2", "--count", "3", "--seed", "1"], ["dist", "-n", "3", "-m", "4"]],
+    ids=["sample", "dist"],
+)
+def test_closed_stdout_is_a_runtime_failure(beamsplitter_path, argv, monkeypatch, capsys):
+    if argv[0] == "sample":
+        argv = [*argv, "--unitary", beamsplitter_path]
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "failure: [Errno 32] Broken pipe\n"
 
 
 def test_sample_csv_format(beamsplitter_path, capsys):

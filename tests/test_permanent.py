@@ -149,34 +149,21 @@ def test_repeated_all_patterns_up_to_n6():
             assert rel_err(value, oracle) < 1e-9, pattern
 
 
-def test_full_and_reduced_expansions_agree():
-    rng = np.random.default_rng(8)
-    for n in range(2, 9):
-        for pattern in partitions(n):
-            block = random_complex(rng, (n, len(pattern)))
-            full, full_steps = repeated_column_expansion(block, pattern, fix_minimal=False)
-            red, red_steps = repeated_column_expansion(block, pattern, fix_minimal=True)
-            assert rel_err(red, full) < 1e-12
-            prod = math.prod(m + 1 for m in pattern)
-            assert full_steps == prod - 1
-            assert red_steps == prod // min(m + 1 for m in pattern) - 1
-
-
-@pytest.mark.parametrize("fix_minimal", [True, False])
-def test_repeated_rank_one_closed_form(fix_minimal):
+def test_repeated_rank_one_closed_form():
     # columns v_j u repeated m_j times: perm = N! prod(u) prod_j v_j^m_j;
-    # unpinned, the 6,912 states of the first pattern exceed one inner table;
-    # the second has 40 rows, past GRAY_LIMIT, but only 21 (441) states
+    # the second pattern has 40 rows, past GRAY_LIMIT, but only 21 (441)
+    # states; the 10,368 states of the third exceed one inner table
     rng = np.random.default_rng(12)
-    for pattern in ([3, 3, 2, 2, 2, 1, 1, 1, 1], [20, 20]):
+    for pattern in ([3, 3, 2, 2, 2, 1, 1, 1, 1], [20, 20], [3, 3, 2, 2, 2, 2, 1, 1, 1, 1]):
         n = sum(pattern)
         u = random_complex(rng, n)
         v = random_complex(rng, len(pattern))
         reference = math.factorial(n) * u.prod() * np.prod(v ** np.array(pattern))
-        value, steps = repeated_column_expansion(np.outer(u, v), pattern, fix_minimal=fix_minimal)
+        value, steps = repeated_column_expansion(np.outer(u, v), pattern)
         assert rel_err(value, reference) < 1e-12, pattern
         factors = [m + 1 for m in pattern]
-        assert steps == math.prod(factors) // (min(factors) if fix_minimal else 1) - 1
+        assert steps == math.prod(factors) // min(factors) - 1
+    assert steps + 1 == 10_368 > INNER_STATES
 
 
 def test_repeated_is_column_permutation_invariant():
@@ -239,8 +226,8 @@ def test_expansions_restore_the_callers_ufunc_buffer():
     block = random_complex(np.random.default_rng(4), (10, 10))
     with ufunc_buffer(4096):
         # 2**9 states run under the small buffer, 2**8 on the caller's
-        assert _expansion_sum(block, [2] * 10, True, record)[1] == 2**9 > UFUNC_BUFFER
-        assert _expansion_sum(block[:, :9], [2] * 9, True, record)[1] == 2**8 <= UFUNC_BUFFER
+        assert _expansion_sum(block, [2] * 10, record)[1] == 2**9 > UFUNC_BUFFER
+        assert _expansion_sum(block[:, :9], [2] * 9, record)[1] == 2**8 <= UFUNC_BUFFER
         assert seen == [UFUNC_BUFFER, 4096] and np.getbufsize() == 4096
         output_probability(u, [1] * 10)
         assert np.getbufsize() == 4096
@@ -250,7 +237,7 @@ def test_expansions_restore_the_callers_ufunc_buffer():
             repeated_column_expansion(np.ones((31, 31)), [1] * 31)
         assert np.getbufsize() == 4096
         with pytest.raises(RuntimeError, match="term failed"):
-            _expansion_sum(block, [2] * 10, True, fail)
+            _expansion_sum(block, [2] * 10, fail)
         assert np.getbufsize() == 4096
 
 
@@ -289,7 +276,7 @@ def test_outer_tuples_refill_one_buffer_bit_for_bit(term):
         seen.append((p.copy(), t.copy()))
         return term(p, t)
 
-    total, states = _expansion_sum(block, radices, True, record)
+    total, states = _expansion_sum(block, radices, record)
     chunks = _fresh_chunks(block, radices)
     assert states == 2**13 * 3 > INNER_STATES and len(chunks) == 6
     assert len(seen) == len(chunks)
@@ -312,17 +299,17 @@ def test_root_products_are_the_kronecker_chain_bit_for_bit(radices):
 def test_root_products_are_read_only_and_cannot_be_poisoned():
     radices = [2, 3, 3, 4]
     block = random_complex(np.random.default_rng(5), (sum(radices) - len(radices), len(radices)))
-    before = np.asarray(_expansion_sum(block, radices, True, _row_products)[0]).tobytes()
+    before = np.asarray(_expansion_sum(block, radices, _row_products)[0]).tobytes()
 
     def overwrite(p, t):
         p[:] = 0
         return _row_products(p, t)
 
     with pytest.raises(ValueError, match="read-only"):
-        _expansion_sum(block, radices, True, overwrite)
+        _expansion_sum(block, radices, overwrite)
     with pytest.raises(ValueError, match="read-only"):
         _root_products((3, 3, 4))[0] = 0
-    assert np.asarray(_expansion_sum(block, radices, True, _row_products)[0]).tobytes() == before
+    assert np.asarray(_expansion_sum(block, radices, _row_products)[0]).tobytes() == before
 
 
 def test_root_products_cache_stays_within_its_bound():
@@ -355,9 +342,6 @@ def test_permanents_refuse_non_finite_entries(route, entry):
 U40 = haar_unitary(40, seed=31)
 PAST_THE_CEILING = {
     "ones-31": (repeated_column_expansion, np.ones((31, 31)), [1] * 31),
-    "unpinned-30": (
-        lambda a, m: repeated_column_expansion(a, m, fix_minimal=False), np.ones((30, 30)), [1] * 30
-    ),
     "31-bosons-on-40": (output_probability, U40, [1] * 31 + [0] * 9),
     "31-prefix-ports": (
         lambda u, prefix: conditional_weights(u, list(range(1, 33)), prefix), U40, list(range(1, 32))

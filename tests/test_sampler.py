@@ -122,7 +122,7 @@ def _per_row_expansion(block, counts):
 
 def _fresh_accumulators(block, counts):
     # leave-one-out accumulators of one from-scratch expansion, and its step count
-    acc, states = _expansion_sum(block, [int(c) + 1 for c in counts], True, _leave_one_out)
+    acc, states = _expansion_sum(block, [int(c) + 1 for c in counts], _leave_one_out)
     return acc, states - 1
 
 
@@ -147,7 +147,7 @@ def _assert_same_ratios(got, reference, rtol):
 
 def _expansion_table(block, counts):
     # the (p, t) pair that _fresh_accumulators hands to _leave_one_out
-    (p, t), _ = _expansion_sum(block, [c + 1 for c in counts], True, lambda p, t: (p, t))
+    (p, t), _ = _expansion_sum(block, [c + 1 for c in counts], lambda p, t: (p, t))
     return p, t
 
 
