@@ -13,10 +13,10 @@ Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows, with one port's variable pinned at 1, and changes it by
 a single broadcast after each pick, a repeated port included. Past
 ``INNER_STATES`` states the chain finishes on the from-scratch expansion,
-which works in chunks of that size; ``conditional_weights`` always uses it,
-through the same step code with no table carried. A draw takes the row
-permutation from its generator (a ``numpy.random.Generator``), then N
-uniforms at once.
+which works in chunks of that size. ``conditional_weights`` replays a prefix
+through the same table, dropped at the same add, so it returns a draw's
+weights bit for bit. A draw takes the row permutation from its generator (a
+``numpy.random.Generator``), then N uniforms at once.
 
 This module holds only the chain; ``validate`` holds what checks it.
 """
@@ -147,10 +147,10 @@ class _PrefixTable:
     variable fixed at 1, so there are S = prod(c + 1) / min(c + 1) states.
     Each pick, a repeat included, costs one broadcast, plus a column add
     when the pin moves to a new port. S changes only in ``_spread``, which
-    reads the next size off the table itself; once it would pass
-    ``INNER_STATES`` the table is dropped (memory stays at most N x
-    INNER_STATES entries) and ``accumulators`` expands the prefix afresh;
-    ``t`` and ``p`` are then None and ``add`` only counts.
+    drops the table only when its next size would pass ``INNER_STATES``
+    (memory stays at most N x INNER_STATES entries); ``t`` and ``p`` are
+    then None, ``add`` only counts and ``accumulators`` expands the prefix
+    afresh. A retaken step (``weights``) leaves a power of two on each row.
     """
 
     def __init__(self, mp: np.ndarray):
@@ -164,8 +164,7 @@ class _PrefixTable:
     def accumulators(self, k: int) -> tuple[np.ndarray, int]:
         """Leave-one-out accumulators of rows ``mp[:k]``, up to one factor
         shared by every row (multiplicity factorials over the number of
-        states), and the step count prod(c + 1) / min(c + 1) - 1. A dropped
-        table expands the prefix afresh; step 1 has the one accumulator 1."""
+        states), and the step count prod(c + 1) / min(c + 1) - 1."""
         if k == 1:
             return np.ones(1, dtype=np.complex128), 0
         if self.t is not None:
@@ -178,18 +177,21 @@ class _PrefixTable:
     def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Squared amplitudes of the k-th port, their running sum and the
         step count. A step whose total is not a positive normal number (an
-        underflow on a long prefix, subnormal totals included, or rows far
-        from unitary, where numpy also warns of the overflow) is taken again
-        on its accumulators divided by their largest modulus; all-zero
-        accumulators stay zero."""
+        underflow on a long prefix, or rows far from unitary, where numpy
+        also warns of the overflow) is taken once more after each row of
+        ``mp`` and ``t`` is scaled by 2**-e, e the ``np.frexp`` exponent of
+        its largest modulus on the prefix ports; zero rows keep scale 1."""
         acc, steps = self.accumulators(k)
         w = np.abs(acc @ self.mp[:k]) ** 2
         cdf = w.cumsum()
         if not sys.float_info.min <= cdf[-1] < math.inf:
-            scale = np.abs(acc).max()
-            if scale > 0.0:
-                w = np.abs((acc / scale) @ self.mp[:k]) ** 2
-                cdf = w.cumsum()
+            _, e = np.frexp(np.abs(self.mp[:, list(self.counts)]).max(axis=1, initial=0.0))
+            scale = np.ldexp(1.0, -e)[:, None]
+            self.mp = self.mp * scale
+            if self.t is not None:
+                self.t = self.t * scale
+            w = np.abs(self.accumulators(k)[0] @ self.mp[:k]) ** 2
+            cdf = w.cumsum()
         return w, cdf, steps
 
     def add(self, q: int) -> None:
@@ -218,8 +220,7 @@ class _PrefixTable:
         port's digit-0 slice is taken, a new port's column is added to every
         state; both leave 2-D tables for the broadcast. A ``fix`` comes
         exactly when ``port`` was the pin or is a repeat, so that ``t`` then
-        holds its column once and the broadcast adds the roots minus 1. A
-        table that would pass ``INNER_STATES`` states is dropped instead."""
+        holds its column once and the broadcast adds the roots minus 1."""
         radix = self.counts[port] + 1
         if self.p.size // self.summed.get(fix, 1) * radix > INNER_STATES:
             self.t = self.p = None
@@ -247,19 +248,18 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     ``pi`` is the input-row ordering (a permutation of 1..N) and ``prefix``
     the 1-based ports already sampled. Entry l-1 is proportional to the
     probability that the next port is l; a constant common to all candidates
-    is dropped, which is all the chain rule needs at a fixed step. The
-    weights are a chain step's, rescaled like it, from a fresh expansion.
+    is dropped, which is all the chain rule needs at a fixed step. A replay
+    of the prefix through a draw's table, one update per port, gives the
+    draw's step-k weights bit for bit unless an earlier step was retaken.
     """
     _check_unitary(u, "conditional_weights")
     pi = _check_permutation(pi, "pi")
-    n = len(pi)
     ports = _check_ports(prefix, "prefix", u.dim)
-    if len(ports) >= n:
+    if len(ports) >= len(pi):
         raise ValueError(f"prefix of length {len(ports)} leaves no port to sample")
-    _check_boson_count(n, u.dim)
+    _check_boson_count(len(pi), u.dim)
     k = len(ports) + 1
     table = _PrefixTable(u.matrix[np.asarray(pi[:k], dtype=int) - 1])
-    table.t = table.p = None
     for q in ports:
         table.add(q - 1)
     return table.weights(k)[0]

@@ -100,12 +100,13 @@ def test_weights_match_naive_permanent_oracle():
         assert np.allclose(w, oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("bosons", [20, 116, 117, 120])
+@pytest.mark.parametrize("bosons", [20, 116, 117, 120, 229, 240, 249])
 def test_single_port_prefix_weights_match_the_closed_form(bosons):
     # L bosons on port q: the permanent over rows 1..L+1 is L! prod_i u_iq times
     # sum_i u_il / u_iq, whose square cannot underflow; the unscaled total is
-    # subnormal at L = 116 and 117 and 0 at L = 120, so the weights must be
-    # rescaled like the chain's
+    # subnormal at L = 116 and 117 and 0 at L = 120, and from L = 229 on the
+    # accumulators themselves underflow, so the step must be retaken on rows
+    # scaled like the chain's
     u = haar_unitary(300, seed=1)
     w = conditional_weights(u, range(1, 251), [1] * bosons)
     assert 0.0 < w.sum() < math.inf
@@ -244,6 +245,24 @@ def test_leave_one_out_keeps_exactly_zero_row_sums(k):
         _assert_same_ratios(out, reference, 1e-12)
 
 
+def _retaken_step(mp, prefix, k):
+    # the rows scaled by 2**-e, e the np.frexp exponent of each row's largest
+    # modulus on the prefix ports, and the cdf of step k on a table built on them
+    _, e = np.frexp(np.abs(mp[:, sorted(set(prefix))]).max(axis=1))
+    scaled = mp * 2.0 ** -e[:, None]
+    table = _PrefixTable(scaled)
+    for q in prefix:
+        table.add(q)
+    return scaled, table.weights(k)[1]
+
+
+def _assert_old_rescale_cdf(cdf, acc, mp):
+    # the normalised cdf of the step taken on accumulators divided by their
+    # largest modulus, the rule before rows were scaled
+    old = (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum()
+    np.testing.assert_allclose(cdf / cdf[-1], old / old[-1], rtol=1e-12)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_overflowing_step_takes_the_rescaled_weights(k):
     # rows scaled by 1e100: the unscaled squared amplitudes of step k overflow
@@ -259,7 +278,9 @@ def test_overflowing_step_takes_the_rescaled_weights(k):
         _, cdf, steps = table.weights(k)
     assert steps == 2 ** (k - 2) - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
-    assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp[:k]) ** 2).cumsum())
+    scaled, retaken = _retaken_step(mp, range(k - 1), k)
+    assert np.array_equal(cdf, retaken) and np.array_equal(table.mp, scaled)
+    _assert_old_rescale_cdf(cdf, acc, mp[:k])
 
 
 def test_dropped_table_step_that_overflows_is_retried():
@@ -278,11 +299,14 @@ def test_dropped_table_step_that_overflows_is_retried():
         _, cdf, steps = table.weights(15)
     assert steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
-    assert np.array_equal(cdf, (np.abs((acc / np.abs(acc).max()) @ mp) ** 2).cumsum())
+    scaled, retaken = _retaken_step(mp, range(14), 15)
+    assert np.array_equal(cdf, retaken) and np.array_equal(table.mp, scaled)
+    _assert_old_rescale_cdf(cdf, acc, mp)
 
 
-def test_dropped_table_overflow_retry_expands_once(monkeypatch):
-    # the table of the test above: the retry rescales the step's own accumulators
+def test_dropped_table_overflow_retake_expands_twice(monkeypatch):
+    # the table of the test above: the first try and the retake on the scaled
+    # rows each expand the prefix afresh
     rng = np.random.default_rng(15)
     mp = 1e15 * (rng.standard_normal((15, 16)) + 1j * rng.standard_normal((15, 16)))
     table = _PrefixTable(mp)
@@ -297,7 +321,7 @@ def test_dropped_table_overflow_retry_expands_once(monkeypatch):
     monkeypatch.setattr(sampler, "_expansion_sum", counted)
     with pytest.warns(RuntimeWarning, match="overflow"):
         _, cdf, steps = table.weights(15)
-    assert len(calls) == 1 and steps == 2**13 - 1
+    assert len(calls) == 2 and steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
 
 
@@ -388,24 +412,51 @@ def test_carried_table_cdfs_are_pinned():
     assert digest.hexdigest() == "a837b3ac8ec6d18e246f56439ecbff09e9457e576b8fe0a7121ef9aa504b90d7", platform_note()
 
 
-@pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3)])
+@pytest.mark.parametrize("n, m, seed", [(12, 12, 1), (12, 24, 2), (15, 60, 3), (20, 60, 4)])
 def test_chain_weights_match_conditional_weights(n, m, seed):
+    # conditional_weights replays the prefix through the table a draw carries,
+    # so every step's weights are the draw's bit for bit; a fresh expansion of
+    # the prefix checks the carried table against the kernel
     u = haar_unitary(m, seed=seed)
     seq, ops = draw_sample_counted(u, n, rng=np.random.default_rng(seed))
-    table = _PrefixTable(u.matrix[np.asarray(seq.row_order) - 1])
+    mp = u.matrix[np.asarray(seq.row_order) - 1]
+    table = _PrefixTable(mp)
     counts = {}
     for k in range(1, n + 1):
-        prefix = seq.ports[: k - 1]
         weights, _, steps = table.weights(k)
-        reference = conditional_weights(u, seq.row_order, prefix)
-        _assert_same_ratios(weights, reference, 1e-12)
+        assert np.array_equal(weights, conditional_weights(u, seq.row_order, seq.ports[: k - 1]))
+        if counts:
+            occupied = sorted(counts)
+            acc, _ = _fresh_accumulators(mp[np.ix_(range(k), occupied)], [counts[j] for j in occupied])
+            _assert_same_ratios(weights, np.abs(acc @ mp[:k]) ** 2, 1e-12)
         assert steps == ops.per_step_gray[k - 1] == _model_steps(counts)
         if k < n:
-            table.add(seq.ports[k - 1] - 1)
-            counts[seq.ports[k - 1]] = counts.get(seq.ports[k - 1], 0) + 1
-    # the widest chain outgrows one table and finishes on the chunked expansion
+            q = seq.ports[k - 1] - 1
+            table.add(q)
+            counts[q] = counts.get(q, 0) + 1
+    # the (15, 60) and (20, 60) chains outgrow one table and finish on the
+    # chunked expansion, and the replay drops its table at the same add
     assert (table.t is None) == (_model_steps(counts) + 1 > INNER_STATES)
     assert (table.t is None) == (m == 60)
+
+
+def test_normal_draws_never_retake_a_step():
+    # a retaken step leaves a power of two on the rows of the table, so rows
+    # still bit-equal to the unitary's after the last step show that no step
+    # was retaken: the pinned (20, 60) chains, and 200 batch draws each at
+    # (12, 12) and (12, 24), replayed through the table
+    u = haar_unitary(60, seed=2026)
+    draws = [(u, draw_sample_counted(u, 20, rng=np.random.default_rng(s))[0]) for s in range(10)]
+    for m in (12, 24):
+        u = haar_unitary(m, seed=m)
+        draws += [(u, seq) for seq in sample_batch(u, 12, 200, master_seed=m).samples]
+    for u, seq in draws:
+        rows = np.asarray(seq.row_order) - 1
+        table = _PrefixTable(u.matrix[rows])
+        for k, port in enumerate(seq.ports, start=1):
+            table.weights(k)
+            table.add(port - 1)
+        assert np.array_equal(table.mp, u.matrix[rows])
 
 
 @pytest.mark.parametrize("n, m, spot_checks", [(12, 24, None), (16, 48, None), (20, 60, 3)])
