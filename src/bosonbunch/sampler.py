@@ -6,17 +6,17 @@ far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
 ports, and all K of them come out of one roots-of-unity expansion over the
 distinct prefix ports. ``_leave_one_out`` picks how those products are
-taken, and ``_PrefixTable.weights`` squares a step's amplitudes and holds
-the rule for rescaling them.
+taken, and ``_PrefixTable.weights`` squares a step's amplitudes and alone
+decides whether a step is drawn from, retaken on rescaled rows or refused.
 
 Consecutive steps differ by one row and one port, so a chain keeps one state
 table for all N rows, with one port's variable pinned at 1, and changes it by
 a single broadcast after each pick, a repeated port included. Past
 ``INNER_STATES`` states the chain finishes on the from-scratch expansion,
 which works in chunks of that size. ``conditional_weights`` replays a prefix
-through the same table, dropped at the same add, so it returns a draw's
-weights bit for bit. A draw takes the row permutation from its generator (a
-``numpy.random.Generator``), then N uniforms at once.
+through the same table, dropped at the same add, so it refuses the steps a
+draw refuses and returns a draw's weights, bit for bit if no step was
+retaken. A draw takes the row permutation from its generator, then N uniforms.
 
 This module holds only the chain; ``validate`` holds what checks it.
 """
@@ -176,11 +176,11 @@ class _PrefixTable:
 
     def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Squared amplitudes of the k-th port, their running sum and the
-        step count. A step whose total is not a positive normal number (an
-        underflow on a long prefix, or rows far from unitary, where numpy
-        also warns of the overflow) is taken once more after each row of
-        ``mp`` and ``t`` is scaled by 2**-e, e the ``np.frexp`` exponent of
-        its largest modulus on the prefix ports; zero rows keep scale 1."""
+        step count. A total that is not a positive normal number (underflow
+        on a long prefix, or rows far from unitary: numpy warns of the
+        overflow) is taken again after each row of ``mp`` and ``t`` is scaled
+        by 2**-e, e the ``np.frexp`` exponent of its largest prefix-port
+        modulus (zero rows keep 1); it raises RuntimeError if still not one."""
         acc, steps = self.accumulators(k)
         w = np.abs(acc @ self.mp[:k]) ** 2
         cdf = w.cumsum()
@@ -192,6 +192,8 @@ class _PrefixTable:
                 self.t = self.t * scale
             w = np.abs(self.accumulators(k)[0] @ self.mp[:k]) ** 2
             cdf = w.cumsum()
+            if not sys.float_info.min <= cdf[-1] < math.inf:
+                raise RuntimeError("conditional weights vanished; cannot continue the chain")
         return w, cdf, steps
 
     def add(self, q: int) -> None:
@@ -247,10 +249,10 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
 
     ``pi`` is the input-row ordering (a permutation of 1..N) and ``prefix``
     the 1-based ports already sampled. Entry l-1 is proportional to the
-    probability that the next port is l; a constant common to all candidates
-    is dropped, which is all the chain rule needs at a fixed step. A replay
-    of the prefix through a draw's table, one update per port, gives the
-    draw's step-k weights bit for bit unless an earlier step was retaken.
+    probability that the next port is l, up to a constant common to all
+    candidates. A replay through a draw's table gives the draw's step-k
+    weights bit for bit unless an earlier step was retaken, and it raises
+    RuntimeError where a draw stops, as for a prefix of probability zero.
     """
     _check_unitary(u, "conditional_weights")
     pi = _check_permutation(pi, "pi")
@@ -277,8 +279,6 @@ def _chain_sample(
     per_step: list[int] = []
     for k, r in enumerate(uniforms, start=1):
         _, cdf, gray = table.weights(k)
-        if not cdf[-1] > 0.0:
-            raise RuntimeError("conditional weights vanished; cannot continue the chain")
         per_step.append(gray)
 
         pick = int(cdf.searchsorted(r * cdf[-1], side="right"))

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import ctypes
 import io
+import math
 import pathlib
 import re
 
@@ -100,6 +101,14 @@ def expand_columns(block, multiplicities):
 
 def rel_err(value, reference):
     return abs(value - reference) / max(abs(reference), 1e-300)
+
+
+def pinned_states(counts):
+    """The cost model's state count prod(c + 1) / min(c + 1) over the counts
+    of the occupied ports; 1 for none. A permanent of that multiplicity
+    pattern, or the chain step after that prefix, takes one Gray step fewer."""
+    factors = [int(c) + 1 for c in counts]
+    return math.prod(factors) // min(factors) if factors else 1
 
 
 def partitions(n, largest=None):

@@ -31,7 +31,7 @@ from bosonbunch import (
     total_variation_distance,
 )
 from bosonbunch.portstats import _entropy
-from helpers import expand_columns, partitions, pmf_mode, random_complex, rel_err
+from helpers import expand_columns, partitions, pinned_states, pmf_mode, random_complex, rel_err
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -39,11 +39,6 @@ def _verdict(number: int, description: str, ok: bool) -> None:
     line = f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}  {description}"
     print(line)
     assert ok, line
-
-
-def _gray_steps_model(pattern) -> int:
-    factors = [int(m) + 1 for m in pattern]
-    return math.prod(factors) // min(factors) - 1
 
 
 def test_criterion_1_permanent_oracle_suite():
@@ -84,7 +79,7 @@ def test_criterion_2_full_vs_reduced_expansion():
     for pattern in all_patterns:
         block = random_complex(rng, (sum(pattern), len(pattern)))
         value, steps = repeated_column_expansion(block, pattern)
-        exact &= steps == _gray_steps_model(pattern)
+        exact &= steps == pinned_states(pattern) - 1
         worst = max(worst, rel_err(value, permanent_ryser(expand_columns(block, pattern))))
     _verdict(
         2,
@@ -178,7 +173,7 @@ def test_criterion_7_cost_model_exactness():
     rng = np.random.default_rng(20_240_007)
     patterns = [p for n in range(2, 9) for p in partitions(n)]
     exact = all(
-        repeated_column_expansion(random_complex(rng, (sum(p), len(p))), p)[1] == _gray_steps_model(p)
+        repeated_column_expansion(random_complex(rng, (sum(p), len(p))), p)[1] == pinned_states(p) - 1
         for p in patterns
     )
 
@@ -188,8 +183,7 @@ def test_criterion_7_cost_model_exactness():
         seq, ops = draw_sample_counted(u, 4, rng=np.random.default_rng(s))
         occ = np.zeros(5, dtype=int)
         for port, gray in zip(seq.ports, ops.per_step_gray):
-            factors = [int(c) + 1 for c in occ if c > 0]
-            expected = math.prod(factors) // min(factors) - 1 if factors else 0
+            expected = pinned_states(occ[occ > 0]) - 1
             exact &= gray == expected
             occ[port - 1] += 1
     _verdict(

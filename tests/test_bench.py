@@ -12,6 +12,7 @@ from bosonbunch import (
     haar_unitary,
     sampling_cost_bounds,
 )
+from helpers import pinned_states
 
 BEAMSPLITTER = UnitaryMatrix(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
@@ -82,16 +83,11 @@ def test_scaling_report_approaches_no_collision_baseline():
     assert math.log2(means[2]) > n_bosons - 3
 
 
-def _pinned_states(ports) -> int:
-    """prod(c + 1) / min(c + 1) over the counts of ``ports``; 1 for none."""
-    factors = [c + 1 for c in Counter(ports).values()]
-    return math.prod(factors) // min(factors) if factors else 1
-
-
 def _prefix_row_ops(ports) -> int:
     """The row ops the chain counts for a port sequence: step k does k rows
     of work on each state of the ports before it."""
-    return sum(k * _pinned_states(ports[: k - 1]) for k in range(1, len(ports) + 1))
+    return sum(k * pinned_states(Counter(ports[: k - 1]).values())
+               for k in range(1, len(ports) + 1))
 
 
 def _mean_pinned_states(j, m_ports) -> Fraction:
@@ -116,7 +112,7 @@ def _mean_pinned_states(j, m_ports) -> Fraction:
 @pytest.mark.parametrize("j, m_ports", [(1, 3), (3, 5), (4, 6), (5, 4)])
 def test_mean_pinned_states_matches_enumeration(j, m_ports):
     multisets = list(combinations_with_replacement(range(m_ports), j))
-    exact = Fraction(sum(_pinned_states(ms) for ms in multisets), len(multisets))
+    exact = Fraction(sum(pinned_states(Counter(ms).values()) for ms in multisets), len(multisets))
     assert _mean_pinned_states(j, m_ports) == exact
 
 

@@ -49,6 +49,7 @@ from helpers import (
     count_calls,
     dispatch_record,
     openblas_core,
+    pinned_states,
     platform_note,
     random_complex,
     simd_extensions,
@@ -325,23 +326,39 @@ def test_dropped_table_overflow_retake_expands_twice(monkeypatch):
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
 
 
-def test_step_with_all_weights_zero_raises():
-    # the second row is zero, so every candidate port of step 2 has weight exactly 0,
-    # and a chain in either row order meets a step whose weights all vanish;
-    # UnitaryMatrix refuses such a row, so the chain gets a stand-in with the same fields
-    rows = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+@pytest.mark.parametrize("corner", [0.0, 1e-161], ids=["zero", "subnormal"])
+def test_step_whose_total_is_not_normal_raises(corner):
+    # the second row is (0, corner), so step 2's weights are exactly 0 or square
+    # to a subnormal total; that row is 0 on the prefix port and keeps scale 1,
+    # so the retake cannot lift it. A chain in either row order meets such a
+    # step, so no draw picks from a cdf without a normal total. UnitaryMatrix
+    # refuses such rows, so the chain gets a stand-in with the same fields
+    rows = np.array([[1, 0], [0, corner]], dtype=np.complex128)
     table = _PrefixTable(rows)
     table.add(0)
-    w, cdf, _ = table.weights(2)
-    assert not w.any() and cdf[-1] == 0.0
+    with pytest.raises(RuntimeError, match="^conditional weights vanished"):
+        table.weights(2)
     stand_in = SimpleNamespace(matrix=rows, dim=2)
-    with pytest.raises(RuntimeError, match="conditional weights vanished"):
-        _chain_sample(stand_in, 2, np.random.default_rng(0))
+    for seed in range(200):
+        with pytest.raises(RuntimeError, match="^conditional weights vanished"):
+            _chain_sample(stand_in, 2, np.random.default_rng(seed))
 
 
-def _model_steps(counts):
-    factors = [c + 1 for c in counts.values()]
-    return int(np.prod(factors)) // min(factors) - 1 if factors else 0
+def _givens(i, j, angle):
+    g = np.eye(3)
+    g[i, i] = g[j, j] = np.cos(angle)
+    g[i, j], g[j, i] = -np.sin(angle), np.sin(angle)
+    return g
+
+
+def test_step_that_overflows_on_the_retake_raises():
+    # rows 1 and 2 hold 1e-171 and 1e-170 on port 3, so step 2 after port 3
+    # underflows; the retake lifts those rows by about 2**565, which overflows
+    # the weights of ports 1 and 2, so the step is refused instead of giving inf
+    u = UnitaryMatrix(_givens(0, 1, 0.7) @ _givens(0, 2, 1e-170) @ _givens(1, 2, 1e-170))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(RuntimeError, match="^conditional weights vanished"):
+            conditional_weights(u, (1, 2, 3), (3,))
 
 
 @pytest.mark.parametrize(
@@ -373,7 +390,7 @@ def test_carried_table_matches_fresh_expansion(script, pins):
             block = mp[np.ix_(range(k), occupied)]
             reference, ref_steps = _fresh_accumulators(block, [counts[j] for j in occupied])
             _assert_same_ratios(acc, reference, 1e-12)
-            assert steps == ref_steps == _model_steps(counts)
+            assert steps == ref_steps == pinned_states(counts.values()) - 1
         else:
             assert steps == 0 and acc.shape == (1,)
         if k < n:
@@ -429,14 +446,14 @@ def test_chain_weights_match_conditional_weights(n, m, seed):
             occupied = sorted(counts)
             acc, _ = _fresh_accumulators(mp[np.ix_(range(k), occupied)], [counts[j] for j in occupied])
             _assert_same_ratios(weights, np.abs(acc @ mp[:k]) ** 2, 1e-12)
-        assert steps == ops.per_step_gray[k - 1] == _model_steps(counts)
+        assert steps == ops.per_step_gray[k - 1] == pinned_states(counts.values()) - 1
         if k < n:
             q = seq.ports[k - 1] - 1
             table.add(q)
             counts[q] = counts.get(q, 0) + 1
     # the (15, 60) and (20, 60) chains outgrow one table and finish on the
     # chunked expansion, and the replay drops its table at the same add
-    assert (table.t is None) == (_model_steps(counts) + 1 > INNER_STATES)
+    assert (table.t is None) == (pinned_states(counts.values()) > INNER_STATES)
     assert (table.t is None) == (m == 60)
 
 
@@ -603,8 +620,7 @@ def test_sample_counted_counters_match_prefix_model():
     assert ops.per_step_gray[0] == 0
     occ = np.zeros(6, dtype=int)
     for k, (port, gray) in enumerate(zip(seq.ports, ops.per_step_gray), start=1):
-        factors = [int(c) + 1 for c in occ if c > 0]
-        expected = int(np.prod(factors)) // min(factors) - 1 if factors else 0
+        expected = pinned_states(occ[occ > 0]) - 1
         assert gray == expected, f"step {k}"
         occ[port - 1] += 1
 
