@@ -4,27 +4,18 @@ A uniformly random ordering of the input rows makes the distribution of each
 next output port proportional to a squared permanent of the rows seen so
 far. Expanding that permanent along the candidate column reduces one
 sampling step to the K leave-one-row-out subpermanents of the already-chosen
-ports, and all K of them come out of one roots-of-unity expansion over the
-distinct prefix ports. ``_leave_one_out`` picks how those products are
-taken, and ``_PrefixTable.weights`` squares a step's amplitudes and alone
-decides whether a step is drawn from, retaken on rescaled rows or refused.
+ports, all from one roots-of-unity expansion over the distinct prefix ports:
+``permanent._PrefixTable``, which the chain carries from step to step.
 
-Consecutive steps differ by one row and one port, so a chain keeps one state
-table for all N rows, with one port's variable pinned at 1, and changes it by
-a single broadcast after each pick, a repeated port included. Past
-``INNER_STATES`` states the chain finishes on the from-scratch expansion,
-which works in chunks of that size. ``conditional_weights`` replays a prefix
-through the same table, dropped at the same add, so it refuses the steps a
-draw refuses and returns a draw's weights, bit for bit if no step was
-retaken. A draw takes the row permutation from its generator, then N uniforms.
-
-This module holds only the chain; ``validate`` holds what checks it.
+A draw takes the row permutation from its generator, then N uniforms.
+``conditional_weights`` replays a prefix through a draw's table, so it
+refuses the steps a draw refuses and returns a draw's weights, bit for bit
+if no step was retaken. This module holds only the chain; ``validate``
+holds what checks it.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +23,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, _check_unitary
-from .permanent import INNER_STATES, _expansion_sum, _level_table, _unit_roots
+from .permanent import _PrefixTable
 
 __all__ = [
     "PortSequence",
@@ -82,166 +73,6 @@ class SampleOps:
     @property
     def op_units(self) -> int:
         return self.row_ops + self.weight_ops
-
-
-# Largest table (k rows times S states) that _leave_one_out reduces in one
-# masked product. In two (k, S) sweeps on a 2-core x86 host the row loop won
-# from k * S = 1,500-2,000 at k = 2..6 and 2,000-3,000 at k = 8..16 (masked
-# over loop time 0.4-0.8 at 1,000, 1.4-4.2 at 8,192); whole chains at (N, M)
-# = (8, 16), (12, 12), (12, 24), (16, 16) ran within 2 % for limits 2,048-3,072.
-MASKED_LIMIT = 2560
-
-
-def _leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """out[i] = sum over states s of p[s] times the product of the row sums
-    t[:, s] other than row i (division-free: row sums are exactly 0 for
-    identity and beamsplitter rows).
-
-    A chain step's table is small, so the fixed cost of each numpy call, not
-    the products, sets its price. A table of at most ``MASKED_LIMIT`` entries
-    takes one masked product, k * k * S multiplies in a handful of calls; a
-    larger one takes the row loop, about 2 * k * S multiplies in 3 * k calls.
-    """
-    if t.size <= MASKED_LIMIT:
-        return _masked_leave_one_out(p, t)
-    return _row_leave_one_out(p, t)
-
-
-def _masked_leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Copy i of ``t`` has its own row i set to 1, then every copy is
-    multiplied down its rows."""
-    k = t.shape[0]
-    e = t[None].repeat(k, axis=0)
-    e.reshape(k * k, -1)[:: k + 1] = 1
-    return e.prod(axis=1) @ p
-
-
-def _row_leave_one_out(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Exclusive prefix and suffix products, one row at a time, so that
-    every multiply spans all states; ``np.cumprod`` along the row axis is an
-    order of magnitude slower on complex tables."""
-    k = t.shape[0]
-    prefix = np.empty_like(t)
-    prefix[0] = p
-    for i in range(1, k):
-        np.multiply(prefix[i - 1], t[i - 1], out=prefix[i])
-    out = np.empty(k, dtype=np.complex128)
-    suffix = np.ones(t.shape[1], dtype=np.complex128)
-    for i in range(k - 1, -1, -1):
-        out[i] = prefix[i] @ suffix
-        suffix *= t[i]
-    return out
-
-
-class _PrefixTable:
-    """The roots-of-unity expansion of a chain's prefix ports, carried from
-    step to step.
-
-    ``mp`` holds the unitary's rows in chain order, so step k uses
-    ``mp[:k]``. ``t`` has shape (N, S): the row sums of every state for all
-    N rows. A state gives each summed port a variable over the r-th roots
-    of unity, one digit of the state index. ``summed`` maps each summed port
-    to the radix r = count + 1 its digit was built with, oldest first, so
-    its last entry is the slowest digit. ``p`` has shape (S,) and holds each
-    state's variable product. The pinned port sits in ``t`` with its
-    variable fixed at 1, so there are S = prod(c + 1) / min(c + 1) states.
-    Each pick, a repeat included, costs one broadcast, plus a column add
-    when the pin moves to a new port. S changes only in ``_spread``, which
-    drops the table only when its next size would pass ``INNER_STATES``
-    (memory stays at most N x INNER_STATES entries); ``t`` and ``p`` are
-    then None, ``add`` only counts and ``accumulators`` expands the prefix
-    afresh. A retaken step (``weights``) leaves a power of two on each row.
-    """
-
-    def __init__(self, mp: np.ndarray):
-        self.mp = mp
-        self.counts: dict[int, int] = {}
-        self.pin: int | None = None
-        self.summed: dict[int, int] = {}
-        self.t = np.zeros((mp.shape[0], 1), dtype=np.complex128)
-        self.p = np.ones(1, dtype=np.complex128)
-
-    def accumulators(self, k: int) -> tuple[np.ndarray, int]:
-        """Leave-one-out accumulators of rows ``mp[:k]``, up to one factor
-        shared by every row (multiplicity factorials over the number of
-        states), and the step count prod(c + 1) / min(c + 1) - 1."""
-        if k == 1:
-            return np.ones(1, dtype=np.complex128), 0
-        if self.t is not None:
-            return _leave_one_out(self.p, self.t[:k]), self.p.size - 1
-        occupied = sorted(self.counts)
-        radices = [self.counts[j] + 1 for j in occupied]
-        acc, states = _expansion_sum(self.mp[:k, occupied], radices, _leave_one_out)
-        return acc, states - 1
-
-    def weights(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Squared amplitudes of the k-th port, their running sum and the
-        step count. A total that is not a positive normal number (underflow
-        on a long prefix, or rows far from unitary: numpy warns of the
-        overflow) is taken again after each row of ``mp`` and ``t`` is scaled
-        by 2**-e, e the ``np.frexp`` exponent of its largest prefix-port
-        modulus (zero rows keep 1); it raises RuntimeError if still not one."""
-        acc, steps = self.accumulators(k)
-        w = np.abs(acc @ self.mp[:k]) ** 2
-        cdf = w.cumsum()
-        if not sys.float_info.min <= cdf[-1] < math.inf:
-            _, e = np.frexp(np.abs(self.mp[:, list(self.counts)]).max(axis=1, initial=0.0))
-            scale = np.ldexp(1.0, -e)[:, None]
-            self.mp = self.mp * scale
-            if self.t is not None:
-                self.t = self.t * scale
-            w = np.abs(self.accumulators(k)[0] @ self.mp[:k]) ** 2
-            cdf = w.cumsum()
-            if not sys.float_info.min <= cdf[-1] < math.inf:
-                raise RuntimeError("conditional weights vanished; cannot continue the chain")
-        return w, cdf, steps
-
-    def add(self, q: int) -> None:
-        """Record one more boson at port ``q`` (0-based). The pin stays while
-        its count is the least, otherwise it moves to ``q`` if ``q`` is new,
-        or else to the newest summed port with the least count."""
-        c = self.counts.get(q, 0)
-        self.counts[q] = c + 1
-        if self.t is None:
-            return
-        pin, least = self.pin, min(self.counts.values())
-        if pin is None:
-            self.pin = q
-            self.t = self.t + self.mp[:, q, None]
-        elif self.counts[pin] == least:
-            if q != pin:
-                self._spread(q, fix=q if c else None)
-        else:
-            self.pin = q if c == 0 else next(j for j in reversed(self.summed) if self.counts[j] == least)
-            self._spread(pin, fix=self.pin)
-
-    def _spread(self, port: int, fix: int | None) -> None:
-        """Sum ``port``'s variable over the roots of unity of radix count + 1
-        as the new slowest digit, so that the broadcast runs along the
-        existing states. The variable of ``fix`` is set to 1 first: a summed
-        port's digit-0 slice is taken, a new port's column is added to every
-        state; both leave 2-D tables for the broadcast. A ``fix`` comes
-        exactly when ``port`` was the pin or is a repeat, so that ``t`` then
-        holds its column once and the broadcast adds the roots minus 1."""
-        radix = self.counts[port] + 1
-        if self.p.size // self.summed.get(fix, 1) * radix > INNER_STATES:
-            self.t = self.p = None
-            return
-        n = len(self.t)
-        t, p = self.t, self.p
-        if fix in self.summed:
-            i = list(self.summed).index(fix)
-            r = self.summed.pop(fix)
-            outer = math.prod(list(self.summed.values())[i:])
-            t = t.reshape(n, outer, r, -1)[:, :, 0].reshape(n, -1)
-            p = p.reshape(outer, r, -1)[:, 0].ravel()
-        elif fix is not None:
-            t = t + self.mp[:, fix, None]
-        roots = _unit_roots(radix)
-        shifts = self.mp[:, port, None] * (roots if fix is None else roots - 1)
-        self.t = _level_table(t, shifts)
-        self.p = (roots[:, None] * p).ravel()
-        self.summed[port] = radix
 
 
 def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[int]) -> np.ndarray:

@@ -22,12 +22,12 @@ from bosonbunch.permanent import (
     INNER_STATES,
     UFUNC_BUFFER,
     _expansion_sum,
+    _leave_one_out,
     _level_table,
     _root_products,
     _row_products,
     _unit_roots,
 )
-from bosonbunch.sampler import _leave_one_out
 from helpers import (
     DEFAULT_BUFFER,
     compositions,

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -33,16 +34,18 @@ from bosonbunch import (
     submatrix,
     total_variation_distance,
 )
-from bosonbunch import sampler
-from bosonbunch.permanent import INNER_STATES, UFUNC_BUFFER, _expansion_sum
-from bosonbunch.sampler import (
+from bosonbunch import permanent, sampler
+from bosonbunch.permanent import (
+    INNER_STATES,
     MASKED_LIMIT,
-    _chain_sample,
+    UFUNC_BUFFER,
+    _expansion_sum,
     _leave_one_out,
     _masked_leave_one_out,
     _PrefixTable,
     _row_leave_one_out,
 )
+from bosonbunch.sampler import _chain_sample
 from bosonbunch.validate import _chi_square_sf
 from helpers import (
     DEFAULT_BUFFER,
@@ -319,25 +322,35 @@ def test_dropped_table_overflow_retake_expands_twice(monkeypatch):
         calls.append(args)
         return _expansion_sum(*args)
 
-    monkeypatch.setattr(sampler, "_expansion_sum", counted)
+    monkeypatch.setattr(permanent, "_expansion_sum", counted)
     with pytest.warns(RuntimeWarning, match="overflow"):
         _, cdf, steps = table.weights(15)
     assert len(calls) == 2 and steps == 2**13 - 1
     assert np.isfinite(cdf[-1]) and cdf[-1] > 0
 
 
-@pytest.mark.parametrize("corner", [0.0, 1e-161], ids=["zero", "subnormal"])
-def test_step_whose_total_is_not_normal_raises(corner):
-    # the second row is (0, corner), so step 2's weights are exactly 0 or square
-    # to a subnormal total; that row is 0 on the prefix port and keeps scale 1,
-    # so the retake cannot lift it. A chain in either row order meets such a
-    # step, so no draw picks from a cdf without a normal total. UnitaryMatrix
-    # refuses such rows, so the chain gets a stand-in with the same fields
-    rows = np.array([[1, 0], [0, corner]], dtype=np.complex128)
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 0], [0, 0.0]], [[1, 0], [0, 1e-161]], [[1e-310, 1e-200], [2e-310, 3e-200]]],
+    ids=["zero", "subnormal", "unscalable"],
+)
+def test_step_whose_total_is_not_normal_raises(rows):
+    # in zero and subnormal the second row is (0, 0) or (0, 1e-161), so step 2's
+    # weights are exactly 0 or square to a subnormal total; that row is 0 on the
+    # prefix port and keeps scale 1, so the retake cannot lift it. Unscalable
+    # rows are subnormal on the prefix port, so their 2**-e would overflow: the
+    # step is refused on the unscaled rows, without a warning. A chain in either
+    # row order meets such a step, so no draw picks from a cdf without a normal
+    # total. UnitaryMatrix refuses such rows, so the chain gets a stand-in with
+    # the same fields
+    rows = np.array(rows, dtype=np.complex128)
     table = _PrefixTable(rows)
     table.add(0)
-    with pytest.raises(RuntimeError, match="^conditional weights vanished"):
-        table.weights(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^conditional weights vanished"):
+            table.weights(2)
+    assert np.isfinite(table.mp).all()
     stand_in = SimpleNamespace(matrix=rows, dim=2)
     for seed in range(200):
         with pytest.raises(RuntimeError, match="^conditional weights vanished"):
