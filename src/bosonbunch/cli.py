@@ -79,26 +79,18 @@ def cmd_haar(args) -> int:
 
 
 def cmd_permanent(args) -> int:
-    if args.multiplicities is not None and args.method != "repeated":
-        raise ValueError(f"--multiplicities applies to method 'repeated' only, not {args.method!r}")
     matrix = load_matrix(args.matrix)
-    if args.method == "repeated":
-        if not args.multiplicities:
-            raise ValueError("--multiplicities is required for method 'repeated'")
-        try:
-            mult = [float(t) for t in args.multiplicities.split(",")]
-        except ValueError:
-            raise ValueError(f"--multiplicities must be comma-separated numbers, got {args.multiplicities!r}") from None
-        value, steps = repeated_column_expansion(matrix, mult)
-        print(_complex_str(value))
-        print(f"gray_steps: {steps}")
+    if args.multiplicities is None:
+        evaluator = {"naive": permanent_naive, "ryser": permanent_ryser}.get(args.method, permanent_glynn)
+        print(_complex_str(evaluator(matrix)))
         return 0
-    evaluator = {
-        "naive": permanent_naive,
-        "ryser": permanent_ryser,
-        "glynn": permanent_glynn,
-    }[args.method]
-    print(_complex_str(evaluator(matrix)))
+    try:
+        mult = [float(t) for t in args.multiplicities.split(",")]
+    except ValueError:
+        raise ValueError(f"--multiplicities must be comma-separated numbers, got {args.multiplicities!r}") from None
+    value, steps = repeated_column_expansion(matrix, mult)
+    print(_complex_str(value))
+    print(f"gray_steps: {steps}")
     return 0
 
 
@@ -131,9 +123,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    if args.plot_data and not args.out:
-        raise ValueError("--plot-data needs --out to derive the figure file path")
     dist = occupied_ports_pmf(args.bosons, args.modes)
+    header = ["n", "P_exact", "P", "B"]
     rows = list(zip(dist.support(), map(str, dist.exact), dist.pmf.tolist(), dist.envelope.tolist()))
     # the exact column is formatted once, and every line before any output
     # opens, so a refused density or a column past str()'s digit limit writes nothing
@@ -142,16 +133,11 @@ def cmd_dist(args) -> int:
         scale = args.bosons / (1.0 + args.bosons / args.modes)
         n_minus, n_plus = (1.0 - delta_minus) * scale, (1.0 + delta_plus) * scale
         tags = ("left-tail" if n <= n_minus else "right-tail" if n >= n_plus else "core" for n in dist.support())
-        figure = [_csv_line(("n", "P_exact", "P", "B", "region"))]
-        figure += [_csv_line((*row, tag)) for row, tag in zip(rows, tags)]
-    table = [_csv_line(("n", "P_exact", "P", "B")), *map(_csv_line, rows)]
+        header.append("region")
+        rows = [(*row, tag) for row, tag in zip(rows, tags)]
+    table = [_csv_line(header), *map(_csv_line, rows)]
     with _output(args.out) as out:
         out.writelines(table)
-    if args.plot_data:
-        fig_path = args.out + ".fig.csv"
-        with open(fig_path, "w", encoding="utf-8") as fig:
-            fig.writelines(figure)
-        print(f"figure series written to {fig_path}", file=sys.stderr)
     return 0
 
 
@@ -191,11 +177,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("permanent", help="evaluate a matrix permanent from a JSON matrix file")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--method", choices=("naive", "ryser", "glynn", "repeated"), default="glynn")
-    p.add_argument(
+    how = p.add_mutually_exclusive_group()
+    # no argparse default: the group lets a value identical to the default through
+    how.add_argument("--method", choices=("naive", "ryser", "glynn"), help="default glynn")
+    how.add_argument(
         "--multiplicities",
-        default=None,
-        help="comma-separated column repetition counts (method 'repeated' only)",
+        help="comma-separated column repetition counts: the repeated-column expansion, not with --method",
     )
     p.set_defaults(handler=cmd_permanent)
 

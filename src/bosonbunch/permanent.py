@@ -21,9 +21,8 @@ and dropped past ``INNER_STATES`` states for the from-scratch expansion.
 Supported range: the naive sum to n = 10, Ryser and Glynn to n = 30, and
 every from-scratch expansion to 2**29 enumerated states (Glynn's count at
 n = 30) however many rows it has. Larger inputs and non-finite entries
-raise ``ValueError`` before any work. A chain raises it at the step that
-needs more states, after its earlier steps have run; ROADMAP item 15
-would refuse such a chain up front.
+raise ``ValueError`` before any work, as does a sampler chain of more
+than ``CHAIN_LIMIT`` = 31 bosons, the longest whose steps all fit.
 
 The cost is reported as ``gray_steps``: the enumerated states less one,
 the moves a Gray walk over them would make, though no walk is taken.
@@ -47,6 +46,9 @@ from .matrices import _as_complex_matrix, _check_unitary
 
 NAIVE_LIMIT = 10
 GRAY_LIMIT = 30
+# a chain step over k - 1 prefix ports needs at most 2**(k - 2) states, so every
+# chain of at most GRAY_LIMIT + 1 bosons stays within 2**(GRAY_LIMIT - 1) states
+CHAIN_LIMIT = GRAY_LIMIT + 1
 # cap on the states of one expansion table: 4096 states of 30 rows is 2 MB
 INNER_STATES = 4096
 # ufunc buffer of an expansion, in elements: numpy's default 8192 copies the

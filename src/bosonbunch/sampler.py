@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import _check_boson_count, _check_count, _check_permutation, _check_ports
 from .matrices import UnitaryMatrix, _check_unitary
-from .permanent import _PrefixTable
+from .permanent import CHAIN_LIMIT, _PrefixTable
 
 __all__ = [
     "PortSequence",
@@ -84,6 +84,7 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     candidates. A replay through a draw's table gives the draw's step-k
     weights bit for bit unless an earlier step was retaken, and it raises
     RuntimeError where a draw stops, as for a prefix of probability zero.
+    It takes one step, so N may pass ``CHAIN_LIMIT`` if that step's table fits.
     """
     _check_unitary(u, "conditional_weights")
     pi = _check_permutation(pi, "pi")
@@ -96,6 +97,15 @@ def conditional_weights(u: UnitaryMatrix, pi: Sequence[int], prefix: Sequence[in
     for q in ports:
         table.add(q - 1)
     return table.weights(k)[0]
+
+
+def _check_chain(n_bosons, n_ports: int) -> int:
+    """N as an int; ValueError before any work unless 1 <= N <= M and
+    N <= ``CHAIN_LIMIT``, so that every step of the chain fits the kernel."""
+    n_bosons, _ = _check_boson_count(n_bosons, n_ports)
+    if n_bosons > CHAIN_LIMIT:
+        raise ValueError(f"a chain of {n_bosons} bosons exceeds the supported {CHAIN_LIMIT}")
+    return n_bosons
 
 
 def _chain_sample(
@@ -133,8 +143,7 @@ def draw_sample_counted(
     _check_unitary(u, "draw_sample_counted")
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy Generator, got {type(rng).__name__}")
-    n_bosons, _ = _check_boson_count(n_bosons, u.dim)
-    return _chain_sample(u, n_bosons, rng)
+    return _chain_sample(u, _check_chain(n_bosons, u.dim), rng)
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ def sample_batch(
     ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so the result
     is identical however it is scheduled."""
     _check_unitary(u, "sample_batch")
-    n_bosons, _ = _check_boson_count(n_bosons, u.dim)
+    n_bosons = _check_chain(n_bosons, u.dim)
     count = _check_count(count, "count", minimum=0)
     master_seed = _check_count(master_seed, "master_seed", minimum=0)
     samples = []

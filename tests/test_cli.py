@@ -72,7 +72,7 @@ def test_permanent_ones(tmp_path, capsys):
 def test_permanent_repeated_reports_gray_steps(tmp_path, capsys):
     path = tmp_path / "block.json"
     save_matrix(path, np.ones((3, 2), dtype=complex))
-    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,1"]) == 0
+    assert main(["permanent", "--matrix", str(path), "--multiplicities", "2,1"]) == 0
     out = capsys.readouterr().out
     assert "gray_steps: 2" in out
 
@@ -81,7 +81,7 @@ def test_permanent_repeated_refuses_past_the_state_ceiling(tmp_path, capsys):
     # 31 distinct columns: 2**30 states, which would run for hours
     path = tmp_path / "ones.json"
     save_matrix(path, np.ones((31, 31), dtype=complex))
-    argv = ["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", ",".join("1" * 31)]
+    argv = ["permanent", "--matrix", str(path), "--multiplicities", ",".join("1" * 31)]
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -92,14 +92,14 @@ def test_permanent_repeated_refuses_past_the_state_ceiling(tmp_path, capsys):
 def test_permanent_repeated_validates_multiplicities(tmp_path, capsys):
     path = tmp_path / "block.json"
     save_matrix(path, np.ones((3, 2), dtype=complex))
-    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,2"]) == 2
+    assert main(["permanent", "--matrix", str(path), "--multiplicities", "2,2"]) == 2
 
 
 @pytest.mark.parametrize("tokens", ["2.0,1", " 2,+1"], ids=["float", "signed"])
 def test_permanent_repeated_reads_multiplicities_as_the_library_does(tmp_path, capsys, tokens):
     path = tmp_path / "block.json"
     save_matrix(path, np.random.default_rng(4).standard_normal((3, 2)).astype(complex))
-    argv = ["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities"]
+    argv = ["permanent", "--matrix", str(path), "--multiplicities"]
     outputs = []
     for multiplicities in ("2,1", tokens):
         assert main([*argv, multiplicities]) == 0
@@ -113,14 +113,14 @@ def test_permanent_repeated_reads_multiplicities_as_the_library_does(tmp_path, c
         ("1.5,1", "multiplicities must hold integers only"),
         ("a,1", "--multiplicities must be comma-separated numbers"),
         ("2,", "--multiplicities must be comma-separated numbers"),
-        ("", "--multiplicities is required for method 'repeated'"),
+        ("", "--multiplicities must be comma-separated numbers"),
     ],
     ids=["fraction", "word", "empty-token", "empty"],
 )
 def test_permanent_repeated_refuses_bad_multiplicities(tmp_path, capsys, tokens, message):
     path = tmp_path / "block.json"
     save_matrix(path, np.ones((3, 2), dtype=complex))
-    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", tokens]) == 2
+    assert main(["permanent", "--matrix", str(path), "--multiplicities", tokens]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
@@ -132,13 +132,13 @@ def test_permanent_refuses_multiplicities_outside_method_repeated(tmp_path, caps
     argv = ["permanent", "--matrix", str(path), "--method", method, "--multiplicities", "7,7"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "--multiplicities applies to method 'repeated' only" in captured.err
+    assert captured.out == "" and "not allowed with argument --method" in captured.err
 
 
 def test_permanent_repeated_output_is_pinned(tmp_path, capsys):
     path = tmp_path / "block.json"
     save_matrix(path, np.ones((3, 2), dtype=complex))
-    assert main(["permanent", "--matrix", str(path), "--method", "repeated", "--multiplicities", "2,1"]) == 0
+    assert main(["permanent", "--matrix", str(path), "--multiplicities", "2,1"]) == 0
     assert capsys.readouterr().out == "6-1.61539800405e-15j\ngray_steps: 2\n"
 
 
@@ -412,28 +412,32 @@ def test_dist_figure_case_normalizes(tmp_path):
 def test_dist_plot_data_writes_figure_series(tmp_path):
     out = tmp_path / "dist.csv"
     assert main(["dist", "-n", "50", "-m", "100", "--out", str(out), "--plot-data"]) == 0
-    fig_lines = (tmp_path / "dist.csv.fig.csv").read_text().strip().splitlines()
+    assert list(tmp_path.iterdir()) == [out]
+    fig_lines = out.read_text().strip().splitlines()
     assert fig_lines[0] == "n,P_exact,P,B,region"
     regions = [line.rsplit(",", 1)[1] for line in fig_lines[1:]]
     assert "left-tail" in regions and "core" in regions and "right-tail" in regions
 
 
 def test_dist_plot_data_output_is_pinned(tmp_path):
-    # both files byte for byte: the table and the figure series with its regions
-    out = tmp_path / "dist.csv"
-    assert main(["dist", "-n", "50", "-m", "100", "--out", str(out), "--plot-data"]) == 0
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, tmp_path / "dist.csv.fig.csv")]
+    # both tables byte for byte: the plain one and the figure series with its regions
+    outs = [tmp_path / "dist.csv", tmp_path / "fig.csv"]
+    assert main(["dist", "-n", "50", "-m", "100", "--out", str(outs[0])]) == 0
+    assert main(["dist", "-n", "50", "-m", "100", "--out", str(outs[1]), "--plot-data"]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in outs]
     assert digests == [
         "f69c1eccfb6a89e6151eeaa04bf7fd97356bb6d427291cd35fc0efdacfb7f954",
         "04067916f08e016d460d37a428186626ba0d689b032509ca690ea7c81e6a17c6",
     ]
 
 
-def test_dist_plot_data_without_out_writes_nothing(capsys):
-    assert main(["dist", "-n", "5", "-m", "10", "--plot-data"]) == 2
+def test_dist_plot_data_without_out_writes_stdout(capsys):
+    assert main(["dist", "-n", "5", "-m", "10", "--plot-data"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--plot-data needs --out" in captured.err
+    lines = captured.out.splitlines()
+    assert lines[0] == "n,P_exact,P,B,region" and len(lines) == 6
+    assert all(line.rsplit(",", 1)[1] in ("left-tail", "core", "right-tail") for line in lines[1:])
+    assert captured.err == ""
 
 
 def test_dist_refuses_a_density_too_small_for_the_crossings(tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from bosonbunch import (
     total_variation_distance,
 )
 from bosonbunch import permanent, sampler
+from bosonbunch.cli import main
 from bosonbunch.permanent import (
     INNER_STATES,
     MASKED_LIMIT,
@@ -330,19 +332,25 @@ def test_dropped_table_overflow_retake_expands_twice(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [[[1, 0], [0, 0.0]], [[1, 0], [0, 1e-161]], [[1e-310, 1e-200], [2e-310, 3e-200]]],
-    ids=["zero", "subnormal", "unscalable"],
+    "rows, chain_reaches_step_2",
+    [
+        ([[1, 0], [0, 0.0]], True),
+        ([[1, 0], [0, 1e-161]], True),
+        ([[1e-310, 1e-200], [2e-310, 3e-200]], False),
+        ([[1, 0], [1e-320, 1e-320]], True),
+    ],
+    ids=["zero", "subnormal", "unscalable", "unscalable-step-2"],
 )
-def test_step_whose_total_is_not_normal_raises(rows):
+def test_step_whose_total_is_not_normal_raises(rows, chain_reaches_step_2, monkeypatch):
     # in zero and subnormal the second row is (0, 0) or (0, 1e-161), so step 2's
     # weights are exactly 0 or square to a subnormal total; that row is 0 on the
     # prefix port and keeps scale 1, so the retake cannot lift it. Unscalable
     # rows are subnormal on the prefix port, so their 2**-e would overflow: the
     # step is refused on the unscaled rows, without a warning. A chain in either
     # row order meets such a step, so no draw picks from a cdf without a normal
-    # total. UnitaryMatrix refuses such rows, so the chain gets a stand-in with
-    # the same fields
+    # total; in unscalable its step 1 already underflows, while unscalable-step-2
+    # reaches the unscalable rows at step 2 after picking port 1. UnitaryMatrix
+    # refuses such rows, so the chain gets a stand-in with the same fields
     rows = np.array(rows, dtype=np.complex128)
     table = _PrefixTable(rows)
     table.add(0)
@@ -352,9 +360,20 @@ def test_step_whose_total_is_not_normal_raises(rows):
             table.weights(2)
     assert np.isfinite(table.mp).all()
     stand_in = SimpleNamespace(matrix=rows, dim=2)
+    steps = []
+    weights = _PrefixTable.weights
+
+    def recorded(self, k):
+        steps.append(k)
+        return weights(self, k)
+
+    monkeypatch.setattr(_PrefixTable, "weights", recorded)
     for seed in range(200):
-        with pytest.raises(RuntimeError, match="^conditional weights vanished"):
-            _chain_sample(stand_in, 2, np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="^conditional weights vanished"):
+                _chain_sample(stand_in, 2, np.random.default_rng(seed))
+    assert (2 in steps) == chain_reaches_step_2
 
 
 def _givens(i, j, angle):
@@ -624,6 +643,25 @@ def test_refused_draw_leaves_its_generator_untouched(n, error):
     with pytest.raises(error):
         draw_sample_counted(haar_unitary(3, seed=2), n, rng=g)
     assert g.bit_generator.state == twin.bit_generator.state
+
+
+def test_chain_past_its_range_is_refused_before_any_work(tmp_path, capsys):
+    # a step over k - 1 prefix ports needs up to 2**(k - 2) states, so 32 bosons
+    # could need 2**30, past the kernel's 2**29; 31 bosons pass the same check.
+    # conditional_weights takes one step, which its own expansion bounds
+    start = time.perf_counter()
+    u = haar_unitary(32, seed=1)
+    g, twin = np.random.default_rng(8), np.random.default_rng(8)
+    for entrance in (lambda: sample_batch(u, 32, 0, 0), lambda: draw_sample_counted(u, 32, rng=g)):
+        with pytest.raises(ValueError, match="^a chain of 32 bosons exceeds the supported 31"):
+            entrance()
+    assert g.bit_generator.state == twin.bit_generator.state
+    save_matrix(tmp_path / "u32.json", u)
+    assert main(["sample", "--unitary", str(tmp_path / "u32.json"), "-n", "32", "--count", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr().out == ""
+    assert sample_batch(u, 31, 0, 0).samples == ()
+    assert conditional_weights(u, range(1, 32), []).shape == (32,)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sample_counted_counters_match_prefix_model():
